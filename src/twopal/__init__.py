@@ -30,6 +30,7 @@ from .membership import (
     brute_force_member,
     check_symmetric_characterization,
     exact_member,
+    kmp_member,
     kmp_occurrences,
     kmp_search,
 )
@@ -49,7 +50,7 @@ from .tester import (
     sqrt_grids,
 )
 from .trie import Trie
-from .words import Decomposition, RotatedDoubledView, Word, get_y, reverse
+from .words import Decomposition, RotatedDoubledView, Word, reverse
 
 __all__ = [
     "DEFAULT_GROVER_CONFIG",
@@ -78,10 +79,10 @@ __all__ = [
     "gen_gamma",
     "gen_member",
     "gen_sigma",
-    "get_y",
     "grover_search",
     "icbrt",
     "is_eps_far",
+    "kmp_member",
     "kmp_occurrences",
     "kmp_search",
     "left_string",

@@ -16,7 +16,7 @@ import math
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -43,6 +43,16 @@ MODES = ("quantum", "classical", "exact")
 INSTANCE_CLASSES = ("member", "far")
 
 
+def _check_int(name: str, value: object) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_real(name: str, value: object) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AssertionThresholds:
     """Acceptance gates evaluated by --assert: members must be accepted at a
@@ -51,6 +61,10 @@ class AssertionThresholds:
 
     member_accept_lower_min: float = 0.80
     far_accept_max: float = 0.30
+
+    def __post_init__(self) -> None:
+        _check_real("member_accept_lower_min", self.member_accept_lower_min)
+        _check_real("far_accept_max", self.far_accept_max)
 
 
 @dataclass(frozen=True)
@@ -68,10 +82,15 @@ class ExperimentConfig:
     assertions: AssertionThresholds = field(default_factory=AssertionThresholds)
 
     def __post_init__(self) -> None:
+        for name in ("trials", "seed", "workers", "max_far_attempts", "alphabet_size"):
+            _check_int(name, getattr(self, name))
+        _check_real("member_fraction", self.member_fraction)
         for n in self.sizes:
+            _check_int("sizes entry", n)
             if n < 4 or n % 2:
                 raise ValueError(f"sizes must be even and >= 4, got {n}")
         for eps in self.epsilons:
+            _check_real("epsilons entry", eps)
             if not 0.0 < eps < 1.0:
                 raise ValueError(f"epsilons must lie in (0, 1), got {eps}")
         if self.trials < 1:
@@ -86,6 +105,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
         data = dict(raw)
         try:
             grover = GroverConfig(**data.pop("grover", {}))
@@ -94,11 +115,20 @@ class ExperimentConfig:
             raise ValueError(f"bad config section: {exc}") from None
         for key in ("sizes", "epsilons", "modes"):
             if key in data:
+                if not isinstance(data[key], (list, tuple)):
+                    raise ValueError(f"{key} must be a list, got {data[key]!r}")
                 data[key] = tuple(data[key])
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
             raise ValueError(f"unknown config keys: {unknown}")
+        missing = [
+            f.name
+            for f in fields(cls)
+            if f.default is MISSING and f.default_factory is MISSING and f.name not in data
+        ]
+        if missing:
+            raise ValueError(f"missing config keys: {missing}")
         return cls(grover=grover, assertions=thresholds, **data)
 
     def to_dict(self) -> dict:

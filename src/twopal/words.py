@@ -5,8 +5,10 @@ A word x of length n splits as x = u + reverse(u) + v + reverse(v) with u, v
 nonempty exactly when n is even, n >= 4, and some even split turns both halves
 into palindromes. The rotation-doubled view y(x) — x without its first symbol
 followed by x without its last symbol — is the key derived object: x belongs
-to the language iff reverse(x) occurs in y(x) at a suitable position. The view
-is never materialized; element i is computed on demand.
+to the language iff reverse(x) occurs in y(x) at a suitable position.
+`RotatedDoubledView` computes element i on demand and charges one read per
+access; it is the text of the reference decider `kmp_member`. The fast
+decider `exact_member` materializes y(x) instead, as 2n - 2 bytes.
 """
 
 from __future__ import annotations
@@ -101,8 +103,3 @@ class RotatedDoubledView:
         if self.ledger is not None:
             self.ledger.read_classical()
         return self.base.symbols[(i + 1) % self.n]
-
-
-def get_y(view: RotatedDoubledView, i: int) -> int:
-    """Symbol i of the virtual doubled rotation; O(1), one logical read."""
-    return view[i]

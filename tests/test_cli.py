@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from twopal.cli import main
 
 
@@ -101,6 +103,25 @@ def test_experiment_assert_failure_exits_nonzero(tmp_path, capsys):
     )
     assert code == 1
     assert "assertion failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"sizes": 64, "epsilons": [0.2], "trials": 2, "modes": ["exact"]},
+        {"sizes": [16], "epsilons": [0.2], "trials": "x", "modes": ["exact"]},
+        [16, 0.2],
+        {"epsilons": [0.2], "trials": 2, "modes": ["exact"]},
+    ],
+    ids=["sizes-not-a-list", "trials-not-an-int", "top-level-list", "sizes-missing"],
+)
+def test_experiment_malformed_config_is_a_usage_error(tmp_path, capsys, raw):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "report.csv"
+    assert main(["experiment", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_experiment_seed_override(tmp_path):

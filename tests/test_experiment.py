@@ -61,6 +61,16 @@ def test_config_validation():
         ExperimentConfig(sizes=(8,), epsilons=(0.1,), modes=("warp",))
     with pytest.raises(ValueError):
         ExperimentConfig(sizes=(8,), epsilons=(0.1,), member_fraction=1.5)
+    with pytest.raises(ValueError):
+        ExperimentConfig(sizes=(8.0,), epsilons=(0.1,))
+    with pytest.raises(ValueError):
+        ExperimentConfig(sizes=(8,), epsilons=("0.1",))
+    with pytest.raises(ValueError):
+        ExperimentConfig(sizes=(8,), epsilons=(0.1,), workers=True)
+    with pytest.raises(ValueError):
+        AssertionThresholds(far_accept_max="0.3")
+    with pytest.raises(ValueError):
+        ExperimentConfig.from_dict({"sizes": [8], "epsilons": 0.1})
 
 
 def test_config_round_trip():

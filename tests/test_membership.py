@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,9 @@ from twopal import (
     brute_force_member,
     check_symmetric_characterization,
     exact_member,
+    gen_gamma,
     gen_member,
+    kmp_member,
     kmp_occurrences,
     kmp_search,
     random_word,
@@ -147,6 +150,71 @@ def test_random_members_recognized(half_u, half_v, rng):
 def test_random_words_agree_with_brute_force(half_n, rng):
     w = random_word(2 * half_n, rng)
     assert exact_member(w).is_member == brute_force_member(w).is_member
+
+
+# --- two-find decider against the KMP reference -------------------------
+
+
+def decision(decider, w):
+    ledger = QueryLedger()
+    result = decider(w, ledger)
+    return result.is_member, result.witness, ledger.classical_reads
+
+
+def assert_matches_kmp(w):
+    assert decision(exact_member, w) == decision(kmp_member, w), w.text()
+
+
+def periodic_words(n):
+    for unit in (b"\x00\x01", b"\x00\x00\x00\x01", b"\x00\x00\x01", b"\x00"):
+        yield Word((unit * n)[:n])
+    for i in {0, 1, n // 2, n - 1}:
+        yield gen_gamma(n, i)
+
+
+def test_fast_decider_matches_kmp_exhaustive_binary():
+    for n in range(17):
+        for w in all_words(n):
+            assert_matches_kmp(w)
+
+
+def test_fast_decider_matches_kmp_exhaustive_ternary():
+    for n in range(11):
+        for w in all_words(n, alphabet_size=3):
+            assert_matches_kmp(w)
+
+
+def test_fast_decider_matches_kmp_seeded_random():
+    rng = random.Random(2015)
+    for n in (18, 20, 32, 64, 100, 256, 1000, 4096):
+        for alphabet_size in (2, 3):
+            half = rng.randint(1, n // 2 - 1)
+            assert_matches_kmp(gen_member(half, n // 2 - half, rng, alphabet_size))
+            assert_matches_kmp(gen_member(n // 2 - 1, 1, rng, alphabet_size))
+            assert_matches_kmp(random_word(n, rng, alphabet_size))
+            assert_matches_kmp(random_word(n + 1, rng, alphabet_size))
+
+
+def test_fast_decider_matches_kmp_periodic():
+    for n in (4, 6, 8, 10, 12, 18, 24, 30, 64, 96, 250, 1000, 1024, 4096):
+        for w in periodic_words(n):
+            assert_matches_kmp(w)
+
+
+def test_fast_decider_linear_on_periodic_words():
+    # a find-again loop over every occurrence is quadratic on these words and
+    # needs tens of seconds at this size; two find calls need milliseconds
+    n = 2**18
+    words = [
+        Word(b"\x00\x01" * (n // 2)),
+        Word(b"\x00\x00\x00\x01" * (n // 4)),
+        Word(bytes(n)),
+    ]
+    start = time.perf_counter()
+    results = [decision(exact_member, w) for w in words]
+    assert time.perf_counter() - start < 2.0
+    assert [member for member, _, _ in results] == [False, False, True]
+    assert all(reads <= 3 * n for _, _, reads in results)
 
 
 # --- ledger accounting -------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import all_words
-from twopal import QueryLedger, RotatedDoubledView, Word, get_y, random_word, reverse
+from twopal import QueryLedger, RotatedDoubledView, Word, random_word, reverse
 
 
 def materialized_view(w: Word) -> bytes:
@@ -13,8 +13,8 @@ def materialized_view(w: Word) -> bytes:
 
 def test_view_frozen_examples():
     v = RotatedDoubledView(Word.from_text("0110"))
-    assert get_y(v, 0) == 1
-    assert get_y(v, 3) == 0
+    assert v[0] == 1
+    assert v[3] == 0
     assert bytes(v[i] for i in range(len(v))) == bytes([1, 1, 0, 0, 1, 1])
 
 
