@@ -49,7 +49,6 @@ from .tester import (
     sample_offsets,
     sqrt_grids,
 )
-from .trie import Trie
 from .words import Decomposition, RotatedDoubledView, Word, reverse
 
 __all__ = [
@@ -64,7 +63,6 @@ __all__ = [
     "OffsetSample",
     "QueryLedger",
     "RotatedDoubledView",
-    "Trie",
     "Verdict",
     "Word",
     "brute_force_member",

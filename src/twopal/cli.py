@@ -60,6 +60,8 @@ def _cmd_distance(args: argparse.Namespace) -> int:
 
 
 def _cmd_test(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     word = _read_word_argument(args.word, args.alphabet_size)
     if offset_count(word.n, args.epsilon) >= word.n:
         print(

@@ -41,10 +41,3 @@ class QueryLedger:
     def total_charged(self) -> int:
         """All charged input queries, classical plus quantum."""
         return self.classical_reads + self.quantum_charged
-
-    def snapshot(self) -> "QueryLedger":
-        return QueryLedger(
-            classical_reads=self.classical_reads,
-            quantum_charged=self.quantum_charged,
-            predicate_calls=self.predicate_calls,
-        )

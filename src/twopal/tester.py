@@ -6,10 +6,11 @@ i + j = s (mod n), and shifting both indices in opposite directions preserves
 the identity. Writing s = alpha*step + beta with step = floor(n^(1/3)) splits
 the unknown axis across two small grids: beta lands in [0, step) and
 alpha*step among the multiples of step below n. The tester samples m random
-shifts, stores the left-shifted fingerprint of every grid row in a trie, and
-searches the column grid for a matching right-shifted fingerprint - by
-simulated Grover search in the sublinear tester, by linear scan in the
-classical baseline (which uses sqrt-sized grids instead).
+shifts, maps the left-shifted fingerprint of every grid row to the first row
+that has it, and searches the column grid for a matching right-shifted
+fingerprint - by simulated Grover search in the sublinear tester, by linear
+scan in the classical baseline (which uses sqrt-sized grids instead). Every
+fingerprint comes from one numpy gather, `_fingerprints`.
 
 For a member some grid pair matches on every shift, for any shift sample.
 For a word epsilon-far from the language, a fixed pair matches all m random
@@ -23,11 +24,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
+
+import numpy as np
 
 from .grover import DEFAULT_GROVER_CONFIG, GroverConfig, grover_search
 from .ledger import QueryLedger
-from .trie import Trie
 from .words import Word
 
 
@@ -94,26 +96,32 @@ def sqrt_grids(n: int) -> IndexGrids:
     return IndexGrids(range(step), range(0, n, step), step)
 
 
+def _fingerprints(
+    x: Word, starts: Sequence[int], shifts: Sequence[int]
+) -> list[bytes]:
+    """Row k is (x[(starts[k] + p) mod n] for each p in shifts). Charges no
+    ledger; callers charge the reads they stand for."""
+    idx = np.add.outer(starts, shifts)
+    idx %= x.n
+    return [row.tobytes() for row in np.frombuffer(x.symbols, np.uint8)[idx]]
+
+
 def left_string(
     x: Word, i: int, sample: OffsetSample, ledger: Optional[QueryLedger] = None
 ) -> bytes:
     """Fingerprint (x[(i - p) mod n] for each shift p); m reads."""
-    n = x.n
-    s = x.symbols
     if ledger is not None:
         ledger.read_classical(sample.m)
-    return bytes(s[(i - p) % n] for p in sample.offsets)
+    return _fingerprints(x, [i], [-p for p in sample.offsets])[0]
 
 
 def right_string(
     x: Word, j: int, sample: OffsetSample, ledger: Optional[QueryLedger] = None
 ) -> bytes:
     """Fingerprint (x[(j + p) mod n] for each shift p); m reads."""
-    n = x.n
-    s = x.symbols
     if ledger is not None:
         ledger.read_classical(sample.m)
-    return bytes(s[(j + p) % n] for p in sample.offsets)
+    return _fingerprints(x, [j], sample.offsets)[0]
 
 
 @dataclass(frozen=True)
@@ -132,14 +140,14 @@ def _check_domain(n: int, epsilon: float) -> None:
 
 def _build_left_table(
     x: Word, grids: IndexGrids, sample: OffsetSample, ledger: QueryLedger
-) -> tuple[Trie, dict[bytes, int]]:
-    trie = Trie(x.alphabet_size)
-    first_row: dict[bytes, int] = {}
-    for i in grids.i_set:
-        s = left_string(x, i, sample, ledger)
-        trie.add(s)
-        first_row.setdefault(s, i)
-    return trie, first_row
+) -> dict[bytes, int]:
+    """Map each row's left fingerprint to the first row that has it."""
+    ledger.read_classical(len(grids.i_set) * sample.m)
+    rows: dict[bytes, int] = {}
+    left = _fingerprints(x, grids.i_set, [-p for p in sample.offsets])
+    for i, s in zip(grids.i_set, left):
+        rows.setdefault(s, i)
+    return rows
 
 
 def quantum_test(
@@ -148,27 +156,23 @@ def quantum_test(
     rng: random.Random,
     grover_config: GroverConfig = DEFAULT_GROVER_CONFIG,
 ) -> Verdict:
-    """Sublinear tester: cube-root grids, trie of row fingerprints, simulated
-    Grover search over the column grid.
+    """Sublinear tester: cube-root grids, a table of row fingerprints,
+    simulated Grover search over the column grid.
 
     Accepts members with the search's success probability (error <= 0.1);
     rejects far words unless some grid pair collides on all m shifts. Total
     charged queries are O((1/epsilon) * n^(1/3) * log n): step * m classical
-    reads to fill the trie, then m per charged search evaluation.
+    reads to fill the row table, then m per charged search evaluation.
     """
     _check_domain(x.n, epsilon)
     ledger = QueryLedger()
     sample = sample_offsets(x.n, epsilon, rng)
     grids = cube_grids(x.n)
-    trie, first_row = _build_left_table(x, grids, sample, ledger)
-    columns = grids.j_set
-
-    def hits_trie(idx: int) -> bool:
-        return trie.contains(right_string(x, columns[idx], sample))
-
+    rows = _build_left_table(x, grids, sample, ledger)
+    columns = _fingerprints(x, grids.j_set, sample.offsets)
     outcome = grover_search(
         len(columns),
-        hits_trie,
+        lambda k: columns[k] in rows,
         rng,
         cost_per_call=sample.m,
         ledger=ledger,
@@ -176,24 +180,27 @@ def quantum_test(
     )
     found_pair = None
     if outcome.found is not None:
-        j = columns[outcome.found]
-        found_pair = (first_row[right_string(x, j, sample)], j)
+        found_pair = (rows[columns[outcome.found]], grids.j_set[outcome.found])
     return Verdict(outcome.found is not None, ledger, found_pair)
 
 
 def classical_test(x: Word, epsilon: float, rng: random.Random) -> Verdict:
-    """Baseline tester with sqrt-sized grids and a full column scan.
+    """Baseline tester with sqrt-sized grids and a column scan that stops at
+    the first hit.
 
     The scan has no search error, so members are always accepted; charged
-    queries are about 2 * sqrt(n) * m, all classical.
+    queries are about 2 * sqrt(n) * m, all classical. A hit at column k is
+    charged (k + 1) * m reads, what the scan read to reach it.
     """
     _check_domain(x.n, epsilon)
     ledger = QueryLedger()
     sample = sample_offsets(x.n, epsilon, rng)
     grids = sqrt_grids(x.n)
-    trie, first_row = _build_left_table(x, grids, sample, ledger)
-    for j in grids.j_set:
-        s = right_string(x, j, sample, ledger)
-        if trie.contains(s):
-            return Verdict(True, ledger, (first_row[s], j))
+    rows = _build_left_table(x, grids, sample, ledger)
+    columns = _fingerprints(x, grids.j_set, sample.offsets)
+    for k, s in enumerate(columns):
+        if s in rows:
+            ledger.read_classical((k + 1) * sample.m)
+            return Verdict(True, ledger, (rows[s], grids.j_set[k]))
+    ledger.read_classical(len(columns) * sample.m)
     return Verdict(False, ledger, None)

@@ -48,6 +48,15 @@ def test_test_subcommand_json_lines(capsys):
         assert row["total_charged"] == row["classical_reads"] + row["quantum_charged"]
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_test_subcommand_rejects_nonpositive_trials(trials, capsys):
+    code = main(["test", "01101001", "--epsilon", "0.3", "--trials", trials])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert captured.out == ""
+
+
 def test_test_subcommand_warns_on_expensive_settings(capsys):
     main(["test", "0110", "--epsilon", "0.5", "--trials", "1"])
     assert "warning" in capsys.readouterr().err

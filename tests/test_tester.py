@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import member_constructions, member_words
+from helpers import all_words, member_constructions, member_words
 from twopal import (
     OffsetSample,
     Word,
@@ -21,11 +21,13 @@ from twopal import (
     left_string,
     offset_count,
     quantum_test,
+    random_word,
     right_string,
     sample_offsets,
     sqrt_grids,
 )
 from twopal.ledger import QueryLedger
+from twopal.tester import _fingerprints
 
 
 # --- integer roots and grids -------------------------------------------
@@ -119,6 +121,35 @@ def test_uniform_word_fingerprints_uniform():
     sample = OffsetSample((0, 1, 2, 3, 1))
     assert left_string(x, 2, sample) == bytes(5)
     assert right_string(x, 2, sample) == bytes(5)
+
+
+def _per_symbol(x, starts, shifts):
+    return [bytes(x.symbols[(s + p) % x.n] for p in shifts) for s in starts]
+
+
+def test_fingerprints_match_per_symbol_on_small_binary_words():
+    for n in range(1, 11):
+        shifts = [-p for p in range(n)] + list(range(n)) + [n - 1, 0]
+        for x in all_words(n):
+            expected = _per_symbol(x, range(n), shifts)
+            assert _fingerprints(x, range(n), shifts) == expected
+
+
+def test_fingerprints_match_per_symbol_on_ternary_words():
+    rng = random.Random(17)
+    for n in (3, 8, 31, 256, 1000):
+        x = random_word(n, rng, 3)
+        starts = [rng.randrange(n) for _ in range(20)]
+        shifts = [rng.randrange(-n + 1, n) for _ in range(40)]
+        assert _fingerprints(x, starts, shifts) == _per_symbol(x, starts, shifts)
+
+
+def test_fingerprints_wrap_at_large_n():
+    n = 2**21
+    x = random_word(n, random.Random(19))
+    starts = [0, 1, n // 2, n - 2, n - 1]
+    shifts = [-(n - 1), -2, -1, 0, 1, 2, n - 1]
+    assert _fingerprints(x, starts, shifts) == _per_symbol(x, starts, shifts)
 
 
 # --- completeness ------------------------------------------------------
@@ -268,6 +299,19 @@ def test_classical_ledger_full_scan_cost():
     assert verdict.ledger.quantum_charged == 0
 
 
+def test_classical_ledger_charges_the_scan_up_to_the_first_hit():
+    w = gen_member(37, 91, random.Random(3))  # n = 256
+    verdict = classical_test(w, 0.2, random.Random(4))
+    sample = sample_offsets(256, 0.2, random.Random(4))
+    grids = sqrt_grids(256)
+    rows = {left_string(w, i, sample) for i in grids.i_set}
+    k = next(
+        k for k, j in enumerate(grids.j_set) if right_string(w, j, sample) in rows
+    )
+    assert k > 0 and verdict.found_pair[1] == grids.j_set[k]
+    assert verdict.ledger.classical_reads == (grids.step + k + 1) * sample.m
+
+
 def test_promise_violating_input_still_returns_verdict():
     # neither a member nor far: the verdict is recorded, nothing is promised
     w = gen_gamma(20, 3)
@@ -282,3 +326,74 @@ def test_tiny_members_accepted():
         w = gen_member(1, n // 2 - 1, random.Random(5))
         assert classical_test(w, 0.5, random.Random(6)).accept
         assert quantum_test(w, 0.5, random.Random(7)).accept
+
+
+# --- seeded verdicts ---------------------------------------------------
+
+# (accept, found_pair, classical_reads, quantum_charged, predicate_calls),
+# recorded from the per-symbol fingerprint implementation. Any rewrite of how
+# fingerprints, the row table or the column scan are built must reproduce
+# every field, not only the verdict.
+SEEDED_VERDICTS = [
+    ("quantum", "member", 64, 0.1, 1, (True, (1, 8), 480, 1320, 11)),
+    ("classical", "member", 64, 0.1, 1, (True, (1, 8), 1200, 0, 0)),
+    ("quantum", "member", 64, 0.2, 2, (True, (1, 60), 240, 240, 4)),
+    ("classical", "member", 64, 0.2, 2, (True, (5, 56), 960, 0, 0)),
+    ("quantum", "far", 64, 0.1, 1, (False, None, 480, 1440, 12)),
+    ("classical", "far", 64, 0.1, 1, (False, None, 1920, 0, 0)),
+    ("quantum", "far", 64, 0.2, 2, (False, None, 240, 720, 12)),
+    ("classical", "far", 64, 0.2, 2, (False, None, 960, 0, 0)),
+    ("quantum", "alt", 64, 0.1, 1, (True, (0, 4), 480, 120, 1)),
+    ("classical", "alt", 64, 0.1, 1, (True, (0, 0), 1080, 0, 0)),
+    ("quantum", "alt", 64, 0.2, 2, (True, (0, 20), 240, 60, 1)),
+    ("classical", "alt", 64, 0.2, 2, (True, (0, 0), 540, 0, 0)),
+    ("quantum", "member", 1024, 0.1, 1, (True, (7, 130), 2000, 3200, 16)),
+    ("classical", "member", 1024, 0.1, 1, (True, (9, 128), 7400, 0, 0)),
+    ("quantum", "member", 1024, 0.2, 2, (True, (9, 970), 1000, 1700, 17)),
+    ("classical", "member", 1024, 0.2, 2, (True, (19, 960), 6300, 0, 0)),
+    ("quantum", "far", 1024, 0.1, 1, (False, None, 2000, 6200, 31)),
+    ("classical", "far", 1024, 0.1, 1, (False, None, 12800, 0, 0)),
+    ("quantum", "far", 1024, 0.2, 2, (False, None, 1000, 3100, 31)),
+    ("classical", "far", 1024, 0.2, 2, (False, None, 6400, 0, 0)),
+    ("quantum", "alt", 1024, 0.1, 1, (True, (0, 50), 2000, 200, 1)),
+    ("classical", "alt", 1024, 0.1, 1, (True, (0, 0), 6600, 0, 0)),
+    ("quantum", "alt", 1024, 0.2, 2, (True, (0, 210), 1000, 100, 1)),
+    ("classical", "alt", 1024, 0.2, 2, (True, (0, 0), 3300, 0, 0)),
+    ("quantum", "member", 32768, 0.1, 1, (True, (19, 4384), 9600, 16500, 55)),
+    ("classical", "member", 32768, 0.1, 1, (True, (35, 4368), 62100, 0, 0)),
+    ("quantum", "member", 32768, 0.2, 2, (True, (31, 31296), 4800, 17700, 118)),
+    ("classical", "member", 32768, 0.2, 2, (True, (23, 31304), 53250, 0, 0)),
+    ("quantum", "far", 32768, 0.1, 1, (False, None, 9600, 28800, 96)),
+    ("classical", "far", 32768, 0.1, 1, (False, None, 108900, 0, 0)),
+    ("quantum", "far", 32768, 0.2, 2, (False, None, 4800, 14400, 96)),
+    ("classical", "far", 32768, 0.2, 2, (False, None, 54450, 0, 0)),
+    ("quantum", "alt", 32768, 0.1, 1, (True, (0, 31552), 9600, 300, 1)),
+    ("classical", "alt", 32768, 0.1, 1, (True, (0, 0), 54900, 0, 0)),
+    ("quantum", "alt", 32768, 0.2, 2, (True, (0, 17856), 4800, 150, 1)),
+    ("classical", "alt", 32768, 0.2, 2, (True, (0, 0), 27450, 0, 0)),
+]
+
+
+def _seeded_word(kind, n, epsilon, seed):
+    rng = random.Random(seed)
+    if kind == "member":
+        half_u = rng.randint(1, n // 2 - 1)
+        return gen_member(half_u, n // 2 - half_u, rng)
+    if kind == "far":
+        return gen_far(n, epsilon, rng)
+    return Word(bytes(i % 2 for i in range(n)))  # (01)^(n/2)
+
+
+@pytest.mark.parametrize("mode, kind, n, epsilon, seed, expected", SEEDED_VERDICTS)
+def test_seeded_verdicts_are_frozen(mode, kind, n, epsilon, seed, expected):
+    x = _seeded_word(kind, n, epsilon, seed)
+    run = quantum_test if mode == "quantum" else classical_test
+    verdict = run(x, epsilon, random.Random(seed + 100))
+    ledger = verdict.ledger
+    assert (
+        verdict.accept,
+        verdict.found_pair,
+        ledger.classical_reads,
+        ledger.quantum_charged,
+        ledger.predicate_calls,
+    ) == expected
