@@ -2,9 +2,11 @@
 
 For a fixed split |u| = a, the nearest word with that shape differs from x in
 exactly one position per mismatched mirror pair, so the distance is the
-minimum over splits of the mismatched-pair count. The baseline evaluates
-every split directly in O(n^2); the fast path gets all per-sum pair counts at
-once from self-convolutions of the symbol indicator vectors in O(n log n).
+minimum over splits of the mismatched-pair count. The mirror pairs of split a
+are exactly the ordered pairs (i, j) with i + j = 2a - 1 (mod n), so one
+length-n cyclic self-convolution of the symbol indicator vectors counts them
+for every split at once in O(n log n). The quadratic split scan is kept only
+as the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -15,9 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .words import Decomposition, Word
-
-# baseline is plenty fast below this size; convolution wins above
-FAST_PATH_MIN_N = 2048
 
 
 @dataclass(frozen=True)
@@ -72,44 +71,34 @@ def _distance_baseline(x: Word) -> DistanceResult:
 def _distance_fast(x: Word) -> DistanceResult:
     n = x.n
     arr = np.frombuffer(x.symbols, dtype=np.uint8)
-    length = 2 * n - 1
-    size = 1
-    while size < length:
-        size <<= 1
-    # equal ordered pairs per index sum, via one self-convolution per symbol
-    equal = np.zeros(length)
+    # equal ordered pairs per index sum mod n: a cyclic self-convolution per symbol
+    power = np.zeros(n // 2 + 1, dtype=np.complex128)
     for sym in range(x.alphabet_size):
-        ind = (arr == sym).astype(np.float64)
-        if not ind.any():
-            continue
-        spec = np.fft.rfft(ind, size)
-        equal += np.fft.irfft(spec * spec, size)[:length]
-    equal_counts = np.rint(equal).astype(np.int64)
-    sums = np.arange(length, dtype=np.int64)
-    total_counts = np.minimum(sums, n - 1) - np.maximum(0, sums - n + 1) + 1
-    # unordered mismatched pairs per sum; the i == j diagonal cancels
-    unequal = (total_counts - equal_counts) // 2
-    splits = np.arange(1, n // 2, dtype=np.int64)
-    per_split = unequal[2 * splits - 1] + unequal[2 * splits + n - 1]
-    idx = int(np.argmin(per_split))
-    a = int(splits[idx])
-    return DistanceResult(int(per_split[idx]), Decomposition(a, n // 2 - a))
+        ind = arr == sym
+        if ind.any():
+            spec = np.fft.rfft(ind)
+            power += spec * spec
+    # split a reads residue 2a - 1: n ordered pairs, none with i == j as it is odd
+    equal = np.rint(np.fft.irfft(power, n)[1 : n - 2 : 2]).astype(np.int64)
+    per_split = (n - equal) // 2
+    a = int(np.argmin(per_split)) + 1
+    return DistanceResult(int(per_split[a - 1]), Decomposition(a, n // 2 - a))
 
 
 def distance_to_language(x: Word, method: str = "auto") -> DistanceResult:
     """Minimum Hamming distance from x to any two-palindrome concatenation.
 
-    method: "baseline" (quadratic split scan), "fast" (n log n convolution),
-    or "auto" to pick by size. Both produce identical results, including the
-    smallest-|u| tie-break on the reported split.
+    method: "auto" (the default) and "fast" both run one length-n cyclic
+    convolution, O(n log n) at every size; "baseline" is the quadratic split
+    scan, kept only as the reference tests compare against. Both produce
+    identical results, including the smallest-|u| tie-break on the reported
+    split.
     """
     _check_domain(x)
-    if method == "auto":
-        method = "fast" if x.n > FAST_PATH_MIN_N else "baseline"
+    if method in ("auto", "fast"):
+        return _distance_fast(x)
     if method == "baseline":
         return _distance_baseline(x)
-    if method == "fast":
-        return _distance_fast(x)
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -102,6 +102,10 @@ class ExperimentConfig:
                 raise ValueError(f"unknown mode {mode!r}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.max_far_attempts < 1:
+            raise ValueError("max_far_attempts must be >= 1")
+        if not 2 <= self.alphabet_size <= 256:
+            raise ValueError("alphabet_size must lie in [2, 256]")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":

@@ -39,10 +39,10 @@ class GroverConfig:
     growth_factor: float = 8 / 7
 
     def __post_init__(self) -> None:
-        if self.cap_multiplier <= 0:
-            raise ValueError("cap multiplier must be positive")
-        if self.growth_factor <= 1:
-            raise ValueError("growth factor must exceed 1")
+        if not 0 < self.cap_multiplier < math.inf:
+            raise ValueError("cap multiplier must be positive and finite")
+        if not 1 < self.growth_factor < math.inf:
+            raise ValueError("growth factor must exceed 1 and be finite")
 
 
 DEFAULT_GROVER_CONFIG = GroverConfig()

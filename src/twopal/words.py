@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .ledger import QueryLedger
 
 
@@ -30,9 +32,10 @@ class Word:
     alphabet_size: int = 2
 
     def __post_init__(self) -> None:
-        if self.alphabet_size < 2:
-            raise ValueError("alphabet needs at least two symbols")
-        if self.symbols and max(self.symbols) >= self.alphabet_size:
+        if not 2 <= self.alphabet_size <= 256:
+            raise ValueError("alphabet needs 2 to 256 symbols, one byte each")
+        codes = np.frombuffer(self.symbols, dtype=np.uint8)
+        if codes.size and codes.max() >= self.alphabet_size:
             raise ValueError("symbol code out of range for alphabet")
 
     @property

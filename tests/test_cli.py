@@ -133,6 +133,33 @@ def test_experiment_malformed_config_is_a_usage_error(tmp_path, capsys, raw):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"alphabet_size": 0},
+        {"alphabet_size": 257},
+        {"max_far_attempts": 0},
+        {"grover": {"cap_multiplier": float("inf")}},
+        {"grover": {"growth_factor": float("inf")}},
+    ],
+    ids=[
+        "alphabet-zero",
+        "alphabet-above-256",
+        "no-far-attempts",
+        "cap-infinite",
+        "growth-infinite",
+    ],
+)
+def test_experiment_out_of_range_config_is_a_usage_error(tmp_path, capsys, extra):
+    raw = {"sizes": [16], "epsilons": [0.2], "trials": 2, "modes": ["quantum"]}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**raw, **extra}))
+    out = tmp_path / "report.csv"
+    assert main(["experiment", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_experiment_seed_override(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -11,6 +12,7 @@ from twopal import (
     brute_force_member,
     distance_to_language,
     far_threshold,
+    gen_far,
     gen_gamma,
     is_eps_far,
     random_word,
@@ -71,6 +73,58 @@ def test_fast_equals_baseline_ternary():
         n = 2 * rng.randrange(2, 65)
         w = random_word(n, rng, alphabet_size=3)
         assert distance_to_language(w, "baseline") == distance_to_language(w, "fast")
+
+
+@pytest.mark.parametrize("n_max, alphabet_size", [(14, 2), (10, 3)])
+def test_fast_equals_baseline_exhaustive(n_max, alphabet_size):
+    for n in range(4, n_max + 1, 2):
+        for w in all_words(n, alphabet_size):
+            assert distance_to_language(w, "fast") == distance_to_language(
+                w, "baseline"
+            )
+
+
+def _adversarial_words(n):
+    h = n // 2
+    yield Word(bytes(n))
+    yield Word(bytes(i % 2 for i in range(n)))
+    yield Word(bytes(int(i % 4 == 3) for i in range(n)))
+    yield Word(bytes(h) + bytes([1]) * h)
+    for i in sorted({0, 1, h - 1, h, n - 2, n - 1}):
+        yield gen_gamma(n, i)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 16, 30, 64, 98, 256, 1000, 1022])
+def test_fast_equals_baseline_periodic_and_adversarial(n):
+    for w in _adversarial_words(n):
+        assert distance_to_language(w, "fast") == distance_to_language(w, "baseline")
+
+
+def test_fast_split_count_at_large_n():
+    n = 1 << 21
+    w = random_word(n, random.Random(2021))
+    result = distance_to_language(w)
+    assert result.distance == len(mismatched_pairs(w, result.best_split.half_u))
+
+
+def test_gen_far_output_is_frozen():
+    # digests of gen_far over seeds 0..4 per (n, epsilon, alphabet); every
+    # epsilon but the 0.1 cases sits near the typical random distance, so
+    # most draws are rejected by the oracle before one is returned
+    expected = {
+        (16, 0.2, 2): "af3f38fe7d397701",
+        (64, 0.17, 2): "87a14994cd915b7e",
+        (1024, 0.1, 2): "467a74e903016ded",
+        (1024, 0.218, 2): "f492dfa6f66434d5",
+        (3000, 0.313, 3): "6a494c78954fab52",
+        (4098, 0.232, 2): "0920bd8a0a3578e9",
+        (1 << 16, 0.1, 2): "6d7efd04d9280cca",
+    }
+    for (n, eps, k), digest in expected.items():
+        h = hashlib.blake2b(digest_size=8)
+        for seed in range(5):
+            h.update(gen_far(n, eps, random.Random(seed), alphabet_size=k).symbols)
+        assert h.hexdigest() == digest, (n, eps, k)
 
 
 @settings(max_examples=80)

@@ -77,6 +77,27 @@ def test_word_validation():
     Word(bytes([0, 2]), alphabet_size=3)
 
 
+@pytest.mark.parametrize("alphabet_size", [2, 3, 7, 255, 256])
+def test_word_symbol_range_edges(alphabet_size):
+    top = alphabet_size - 1
+    Word(b"", alphabet_size)
+    Word(bytes([top, 0, top]), alphabet_size)
+    Word(bytes(range(alphabet_size)), alphabet_size)
+    if alphabet_size < 256:
+        with pytest.raises(ValueError):
+            Word(bytes([0, top + 1, 0]), alphabet_size)
+        with pytest.raises(ValueError):
+            Word(bytes([top + 1]), alphabet_size)
+
+
+@pytest.mark.parametrize("alphabet_size", [0, 1, 257, 1000])
+def test_word_rejects_alphabet_outside_one_byte(alphabet_size):
+    with pytest.raises(ValueError):
+        Word(b"", alphabet_size)
+    with pytest.raises(ValueError):
+        Word(b"\x00\x01", alphabet_size)
+
+
 def test_word_text_round_trip():
     for text in ("", "0", "0110", "01101001", "2101", "000"):
         size = max(2, max((int(c) for c in text), default=1) + 1)
