@@ -5,8 +5,11 @@ exactly one position per mismatched mirror pair, so the distance is the
 minimum over splits of the mismatched-pair count. The mirror pairs of split a
 are exactly the ordered pairs (i, j) with i + j = 2a - 1 (mod n), so one
 length-n cyclic self-convolution of the symbol indicator vectors counts them
-for every split at once in O(n log n). The quadratic split scan is kept only
-as the reference the tests compare against.
+for every split at once in O(n log n). The indicators of the present symbols
+sum to the all-ones vector, so the last one's spectrum is derived as n at
+index 0 minus the others' spectra instead of transformed: a binary word takes
+two transforms. The quadratic split scan is kept only as the reference the
+tests compare against.
 """
 
 from __future__ import annotations
@@ -72,12 +75,17 @@ def _distance_fast(x: Word) -> DistanceResult:
     n = x.n
     arr = np.frombuffer(x.symbols, dtype=np.uint8)
     # equal ordered pairs per index sum mod n: a cyclic self-convolution per symbol
+    present = [sym for sym in range(x.alphabet_size) if (arr == sym).any()]
     power = np.zeros(n // 2 + 1, dtype=np.complex128)
-    for sym in range(x.alphabet_size):
-        ind = arr == sym
-        if ind.any():
-            spec = np.fft.rfft(ind)
-            power += spec * spec
+    # the indicators sum to all ones, whose spectrum is n at index 0 and 0
+    # elsewhere, so the last present symbol's spectrum is that minus the others'
+    last = np.zeros(n // 2 + 1, dtype=np.complex128)
+    last[0] = n
+    for sym in present[:-1]:
+        spec = np.fft.rfft(arr == sym)
+        power += spec * spec
+        last -= spec
+    power += last * last
     # split a reads residue 2a - 1: n ordered pairs, none with i == j as it is odd
     equal = np.rint(np.fft.irfft(power, n)[1 : n - 2 : 2]).astype(np.int64)
     per_split = (n - equal) // 2

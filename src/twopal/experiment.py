@@ -1,10 +1,14 @@
 """Seeded experiment harness: sweeps (n, epsilon, mode, instance class) cells,
 aggregates query ledgers, and emits CSV/JSON reports.
 
-Each trial derives its own seed from the base seed and a stable hash of the
-cell key and trial index, so any subset of cells reproduces bit-identically
-and trials can run in any order or process. Aggregation uses only sums and
-maxima, keeping parallel runs deterministic (wall-clock seconds excepted).
+A trial is one instance run under every configured mode. It derives its seed
+from the base seed and a stable hash of (n, epsilon, class, trial index),
+builds the instance once, and restores the generator state saved after
+building it before each mode, so every mode sees the same word and the same
+draws it would see alone. Any subset of cells or modes therefore reproduces
+bit-identically, and trials can run in any order or process. Aggregation uses
+only sums and maxima, keeping parallel runs deterministic (wall-clock seconds
+excepted).
 """
 
 from __future__ import annotations
@@ -85,6 +89,12 @@ class ExperimentConfig:
         for name in ("trials", "seed", "workers", "max_far_attempts", "alphabet_size"):
             _check_int(name, getattr(self, name))
         _check_real("member_fraction", self.member_fraction)
+        for name in ("sizes", "epsilons", "modes"):
+            values = getattr(self, name)
+            if not values:
+                raise ValueError(f"{name} must not be empty")
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat entries, got {list(values)}")
         for n in self.sizes:
             _check_int("sizes entry", n)
             if n < 4 or n % 2:
@@ -199,7 +209,7 @@ def _trial_seed(base_seed: int, cell_key: str, trial: int) -> int:
 class _TrialSpec:
     n: int
     epsilon: float
-    mode: str
+    modes: tuple[str, ...]
     instance_class: str
     seed: int
     cap_multiplier: float
@@ -208,9 +218,33 @@ class _TrialSpec:
     max_far_attempts: int
 
 
-def _run_trial(spec: _TrialSpec):
-    """One seeded trial; returns (accepted, total_queries, classical_reads)
-    or a skip-reason string. Module level so worker processes can import it."""
+def _run_mode(spec: _TrialSpec, mode: str, x, rng: random.Random) -> tuple:
+    if mode == "quantum":
+        verdict = quantum_test(
+            x,
+            spec.epsilon,
+            rng,
+            GroverConfig(spec.cap_multiplier, spec.growth_factor),
+        )
+        ledger = verdict.ledger
+        return (verdict.accept, ledger.total_charged, ledger.classical_reads)
+    if mode == "classical":
+        verdict = classical_test(x, spec.epsilon, rng)
+        ledger = verdict.ledger
+        return (verdict.accept, ledger.total_charged, ledger.classical_reads)
+    ledger = QueryLedger()
+    result = exact_member(x, ledger)
+    return (result.is_member, ledger.total_charged, ledger.classical_reads)
+
+
+def _run_trial(spec: _TrialSpec) -> list[tuple]:
+    """One seeded trial: build the instance once, then run it under every mode
+    of spec.modes, restoring the generator state saved after the build before
+    each one. Returns one (outcome, seconds) per mode, where outcome is
+    (accepted, total_queries, classical_reads) or the skip reason when no far
+    instance was found, and seconds is the mode's own time plus an equal share
+    of the build time. Module level so worker processes can import it."""
+    start = time.perf_counter()
     rng = random.Random(spec.seed)
     try:
         if spec.instance_class == "member":
@@ -221,35 +255,29 @@ def _run_trial(spec: _TrialSpec):
                 spec.n, spec.epsilon, rng, spec.max_far_attempts, spec.alphabet_size
             )
     except FarInstanceError as exc:
-        return str(exc)
-    if spec.mode == "quantum":
-        verdict = quantum_test(
-            x,
-            spec.epsilon,
-            rng,
-            GroverConfig(spec.cap_multiplier, spec.growth_factor),
-        )
-        ledger = verdict.ledger
-        return (verdict.accept, ledger.total_charged, ledger.classical_reads)
-    if spec.mode == "classical":
-        verdict = classical_test(x, spec.epsilon, rng)
-        ledger = verdict.ledger
-        return (verdict.accept, ledger.total_charged, ledger.classical_reads)
-    ledger = QueryLedger()
-    result = exact_member(x, ledger)
-    return (result.is_member, ledger.total_charged, ledger.classical_reads)
+        share = (time.perf_counter() - start) / len(spec.modes)
+        return [(str(exc), share)] * len(spec.modes)
+    state = rng.getstate()
+    share = (time.perf_counter() - start) / len(spec.modes)
+    results = []
+    for mode in spec.modes:
+        rng.setstate(state)
+        start = time.perf_counter()
+        outcome = _run_mode(spec, mode, x, rng)
+        results.append((outcome, share + time.perf_counter() - start))
+    return results
 
 
 def _cell_specs(
-    config: ExperimentConfig, n: int, epsilon: float, mode: str, cls_: str, count: int
+    config: ExperimentConfig, n: int, epsilon: float, cls_: str, count: int
 ) -> list[_TrialSpec]:
-    # the cell key omits the mode so quantum/classical/exact see paired instances
+    # the cell key omits the mode: one trial runs its instance under every mode
     cell_key = f"{n}:{epsilon!r}:{cls_}"
     return [
         _TrialSpec(
             n=n,
             epsilon=epsilon,
-            mode=mode,
+            modes=config.modes,
             instance_class=cls_,
             seed=_trial_seed(config.seed, cell_key, trial),
             cap_multiplier=config.grover.cap_multiplier,
@@ -264,46 +292,51 @@ def _cell_specs(
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run every (size, epsilon, mode, class) cell and aggregate ledgers.
 
+    One trial per (size, epsilon, class, trial index) covers every mode; all
+    trials are mapped in one pass, serially or through a process pool, and
+    cells are then listed by size, epsilon, mode and class. A cell's seconds sum its trials' per-mode seconds
+    (see _run_trial), so over a serial run the cells add up to the wall time.
     A cell whose far-instance sampling exhausts its budget is reported with
     trials=0 and a skip reason instead of failing the sweep.
     """
+    classes = config.class_trials()
+    specs = [
+        spec
+        for n in config.sizes
+        for epsilon in config.epsilons
+        for cls_, count in classes
+        for spec in _cell_specs(config, n, epsilon, cls_, count)
+    ]
+    if config.workers > 1:
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+            results = list(pool.map(_run_trial, specs))
+    else:
+        results = [_run_trial(s) for s in specs]
+    pending = iter(results)
     cells: list[CellResult] = []
-    pool = (
-        ProcessPoolExecutor(max_workers=config.workers)
-        if config.workers > 1
-        else None
-    )
-    try:
-        for n in config.sizes:
-            for epsilon in config.epsilons:
-                for mode in config.modes:
-                    for cls_, count in config.class_trials():
-                        specs = _cell_specs(config, n, epsilon, mode, cls_, count)
-                        start = time.perf_counter()
-                        if pool is not None:
-                            outcomes = list(pool.map(_run_trial, specs))
-                        else:
-                            outcomes = [_run_trial(s) for s in specs]
-                        seconds = time.perf_counter() - start
-                        cells.append(
-                            _aggregate(n, epsilon, mode, cls_, outcomes, seconds)
-                        )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for n in config.sizes:
+        for epsilon in config.epsilons:
+            by_class = [
+                (cls_, [next(pending) for _ in range(count)]) for cls_, count in classes
+            ]
+            for k, mode in enumerate(config.modes):
+                for cls_, trials in by_class:
+                    outcomes = [trial[k] for trial in trials]
+                    cells.append(_aggregate(n, epsilon, mode, cls_, outcomes))
     return ExperimentReport(config=config, cells=cells)
 
 
 def _aggregate(
-    n: int, epsilon: float, mode: str, cls_: str, outcomes: list, seconds: float
+    n: int, epsilon: float, mode: str, cls_: str, outcomes: list[tuple]
 ) -> CellResult:
-    skip = next((o for o in outcomes if isinstance(o, str)), None)
+    seconds = sum(s for _, s in outcomes)
+    skip = next((o for o, _ in outcomes if isinstance(o, str)), None)
     if skip is not None:
         return CellResult(n, epsilon, mode, cls_, 0, 0, 0.0, 0, 0.0, seconds, skip)
     count = len(outcomes)
-    accepts = sum(1 for accepted, _, _ in outcomes if accepted)
-    totals = [total for _, total, _ in outcomes]
-    reads = [r for _, _, r in outcomes]
+    accepts = sum(1 for (accepted, _, _), _ in outcomes if accepted)
+    totals = [total for (_, total, _), _ in outcomes]
+    reads = [r for (_, _, r), _ in outcomes]
     return CellResult(
         n=n,
         epsilon=epsilon,

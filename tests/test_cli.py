@@ -141,6 +141,12 @@ def test_experiment_malformed_config_is_a_usage_error(tmp_path, capsys, raw):
         {"max_far_attempts": 0},
         {"grover": {"cap_multiplier": float("inf")}},
         {"grover": {"growth_factor": float("inf")}},
+        {"sizes": []},
+        {"sizes": [16, 16]},
+        {"epsilons": []},
+        {"epsilons": [0.2, 0.1, 0.2]},
+        {"modes": []},
+        {"modes": ["quantum", "quantum"]},
     ],
     ids=[
         "alphabet-zero",
@@ -148,6 +154,12 @@ def test_experiment_malformed_config_is_a_usage_error(tmp_path, capsys, raw):
         "no-far-attempts",
         "cap-infinite",
         "growth-infinite",
+        "sizes-empty",
+        "sizes-repeated",
+        "epsilons-empty",
+        "epsilons-repeated",
+        "modes-empty",
+        "modes-repeated",
     ],
 )
 def test_experiment_out_of_range_config_is_a_usage_error(tmp_path, capsys, extra):

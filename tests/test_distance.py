@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -97,6 +98,68 @@ def _adversarial_words(n):
 @pytest.mark.parametrize("n", [4, 6, 8, 16, 30, 64, 98, 256, 1000, 1022])
 def test_fast_equals_baseline_periodic_and_adversarial(n):
     for w in _adversarial_words(n):
+        assert distance_to_language(w, "fast") == distance_to_language(w, "baseline")
+
+
+# --- the derived last spectrum -----------------------------------------
+
+
+def _count_transforms(monkeypatch):
+    calls = []
+    rfft = np.fft.rfft
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return rfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "alphabet_size, codes",
+    [(3, (0, 1)), (3, (0, 2)), (3, (1, 2)), (256, (0, 255)), (256, (7, 8, 200))],
+)
+def test_fast_equals_baseline_when_codes_are_absent(alphabet_size, codes):
+    # the derived spectrum belongs to the last code that occurs, not to the
+    # alphabet's largest code
+    rng = random.Random(59)
+    for n in (4, 6, 16, 64, 1000, 1022):
+        for _ in range(4):
+            w = Word(bytes(rng.choice(codes) for _ in range(n)), alphabet_size)
+            assert distance_to_language(w, "fast") == distance_to_language(
+                w, "baseline"
+            )
+
+
+@pytest.mark.parametrize("alphabet_size", [2, 3, 256])
+@pytest.mark.parametrize("n", [4, 6, 64, 1000])
+def test_one_symbol_words_run_no_transform(monkeypatch, alphabet_size, n):
+    calls = _count_transforms(monkeypatch)
+    for sym in sorted({0, 1, alphabet_size - 1}):
+        w = Word(bytes([sym]) * n, alphabet_size)
+        assert distance_to_language(w, "fast") == distance_to_language(w, "baseline")
+        assert distance_to_language(w).distance == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "alphabet_size, codes",
+    [(2, (0, 1)), (3, (0, 1)), (3, (0, 1, 2)), (7, (2, 4, 5, 6))],
+)
+def test_transforms_one_fewer_than_present_symbols(monkeypatch, alphabet_size, codes):
+    w = Word(bytes(c for c in codes for _ in range(64)), alphabet_size)
+    calls = _count_transforms(monkeypatch)
+    distance_to_language(w)
+    assert len(calls) == len(codes) - 1
+
+
+@pytest.mark.parametrize("alphabet_size", [5, 7, 256])
+@pytest.mark.parametrize("n", [1000, 1022, 4096])
+def test_fast_equals_baseline_seeded_large_alphabets(alphabet_size, n):
+    rng = random.Random(alphabet_size * 10_000 + n)
+    for _ in range(3):
+        w = random_word(n, rng, alphabet_size=alphabet_size)
         assert distance_to_language(w, "fast") == distance_to_language(w, "baseline")
 
 

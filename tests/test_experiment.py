@@ -1,14 +1,16 @@
 import csv
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
+import twopal.experiment as experiment
 from twopal.experiment import (
     CSV_COLUMNS,
+    MODES,
     AssertionThresholds,
     ExperimentConfig,
-    _cell_specs,
     check_assertions,
     emit_report,
     load_config,
@@ -79,13 +81,53 @@ def test_config_round_trip():
     assert rebuilt == config
 
 
-def test_trial_seeds_pair_instances_across_modes():
-    config = small_config()
-    quantum = _cell_specs(config, 16, 0.2, "quantum", "member", 4)
-    classical = _cell_specs(config, 16, 0.2, "classical", "member", 4)
-    assert [s.seed for s in quantum] == [s.seed for s in classical]
-    other_cell = _cell_specs(config, 16, 0.2, "quantum", "far", 4)
-    assert [s.seed for s in quantum] != [s.seed for s in other_cell]
+def _cell_record(cell):
+    return (
+        cell.n,
+        cell.epsilon,
+        cell.mode,
+        cell.instance_class,
+        cell.trials,
+        cell.accepts,
+        cell.mean_queries,
+        cell.max_queries,
+        cell.mean_classical_reads,
+        cell.skipped,
+    )
+
+
+def test_one_instance_per_trial_runs_under_every_mode(monkeypatch):
+    calls = {"gen_far": 0, "gen_member": 0}
+
+    def counted(name):
+        original = getattr(experiment, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, name, wrapper)
+
+    counted("gen_far")
+    counted("gen_member")
+    # classical draws its offsets before quantum runs, so quantum matches its
+    # single-mode run only if the generator state is restored between modes
+    modes = ("exact", "classical", "quantum")
+    config = small_config(sizes=(16, 64), epsilons=(0.1, 0.2), modes=modes, trials=5)
+    full = run_experiment(config)
+    # 2 sizes x 2 epsilons x (2 member + 3 far trials), one instance each
+    assert calls == {"gen_far": 2 * 2 * 3, "gen_member": 2 * 2 * 2}
+    assert len(full.cells) == 2 * 2 * 3 * 2
+
+    # each mode alone sees the same instance and the same draws as in the
+    # three-mode run
+    by_key = {(c.n, c.epsilon, c.mode, c.instance_class): c for c in full.cells}
+    for mode in modes:
+        alone = run_experiment(replace(config, modes=(mode,)))
+        assert len(alone.cells) == 2 * 2 * 2
+        for cell in alone.cells:
+            key = (cell.n, cell.epsilon, cell.mode, cell.instance_class)
+            assert _cell_record(cell) == _cell_record(by_key[key])
 
 
 def test_run_experiment_cells_and_determinism():
@@ -119,6 +161,16 @@ def test_workers_do_not_change_results():
     for a, b in zip(serial.cells, parallel.cells):
         assert a.accepts == b.accepts
         assert a.mean_queries == b.mean_queries
+
+
+def test_workers_reproduce_every_ledger_field():
+    config = small_config(sizes=(16, 64), epsilons=(0.1, 0.2), modes=MODES)
+    serial = run_experiment(config)
+    parallel = run_experiment(replace(config, workers=2))
+    assert len(serial.cells) == 2 * 2 * 3 * 2
+    assert [_cell_record(c) for c in serial.cells] == [
+        _cell_record(c) for c in parallel.cells
+    ]
 
 
 def test_skipped_cell_reported(tmp_path):
@@ -220,3 +272,155 @@ def test_load_config(tmp_path):
     assert config.sizes == (16,)
     assert config.grover.cap_multiplier == 5.0
     assert config.assertions.far_accept_max == 0.2
+
+
+# --- frozen seeded report ---------------------------------------------
+
+# (n, epsilon, mode, class, trials, accepts, total queries, max queries,
+# total classical reads) per cell, recorded when every mode still regenerated
+# its own instance; seed 2024, 6 trials, half members. Totals are stored so
+# the records stay integers: a cell's means are these totals over its trials.
+FROZEN_CELLS = {
+    2: [
+        (16, 0.1, "quantum", "member", 3, 3, 1280, 480, 480),
+        (16, 0.1, "quantum", "far", 3, 0, 2640, 880, 480),
+        (16, 0.1, "classical", "member", 3, 3, 1680, 560, 1680),
+        (16, 0.1, "classical", "far", 3, 0, 1920, 640, 1920),
+        (16, 0.1, "exact", "member", 3, 3, 125, 43, 125),
+        (16, 0.1, "exact", "far", 3, 0, 138, 46, 138),
+        (16, 0.2, "quantum", "member", 3, 3, 640, 280, 240),
+        (16, 0.2, "quantum", "far", 3, 1, 1080, 440, 240),
+        (16, 0.2, "classical", "member", 3, 3, 760, 280, 760),
+        (16, 0.2, "classical", "far", 3, 1, 840, 320, 840),
+        (16, 0.2, "exact", "member", 3, 3, 121, 43, 121),
+        (16, 0.2, "exact", "far", 3, 0, 138, 46, 138),
+        (64, 0.1, "quantum", "member", 3, 3, 3600, 1560, 1440),
+        (64, 0.1, "quantum", "far", 3, 0, 5760, 1920, 1440),
+        (64, 0.1, "classical", "member", 3, 3, 5040, 1800, 5040),
+        (64, 0.1, "classical", "far", 3, 0, 5760, 1920, 5760),
+        (64, 0.1, "exact", "member", 3, 3, 517, 177, 517),
+        (64, 0.1, "exact", "far", 3, 0, 570, 190, 570),
+        (64, 0.2, "quantum", "member", 3, 3, 1320, 480, 720),
+        (64, 0.2, "quantum", "far", 3, 0, 2880, 960, 720),
+        (64, 0.2, "classical", "member", 3, 3, 2520, 960, 2520),
+        (64, 0.2, "classical", "far", 3, 0, 2880, 960, 2880),
+        (64, 0.2, "exact", "member", 3, 3, 517, 187, 517),
+        (64, 0.2, "exact", "far", 3, 0, 570, 190, 570),
+        (1024, 0.1, "quantum", "member", 3, 3, 16800, 10000, 6000),
+        (1024, 0.1, "quantum", "far", 3, 0, 24600, 8200, 6000),
+        (1024, 0.1, "classical", "member", 3, 3, 26400, 9600, 26400),
+        (1024, 0.1, "classical", "far", 3, 0, 38400, 12800, 38400),
+        (1024, 0.1, "exact", "member", 3, 3, 7259, 2559, 7259),
+        (1024, 0.1, "exact", "far", 3, 0, 9210, 3070, 9210),
+        (1024, 0.2, "quantum", "member", 3, 3, 10200, 4800, 3000),
+        (1024, 0.2, "quantum", "far", 3, 0, 12300, 4100, 3000),
+        (1024, 0.2, "classical", "member", 3, 3, 17300, 6100, 17300),
+        (1024, 0.2, "classical", "far", 3, 0, 19200, 6400, 19200),
+        (1024, 0.2, "exact", "member", 3, 3, 8555, 2961, 8555),
+        (1024, 0.2, "exact", "far", 3, 0, 9210, 3070, 9210),
+        (2050, 0.1, "quantum", "member", 3, 3, 22542, 9503, 7956),
+        (2050, 0.1, "quantum", "far", 3, 0, 34476, 11492, 7956),
+        (2050, 0.1, "classical", "member", 3, 3, 54145, 19448, 54145),
+        (2050, 0.1, "classical", "far", 3, 0, 60333, 20111, 60333),
+        (2050, 0.1, "exact", "member", 3, 3, 17191, 6029, 17191),
+        (2050, 0.1, "exact", "far", 3, 0, 18444, 6148, 18444),
+        (2050, 0.2, "quantum", "member", 3, 3, 12210, 5106, 3996),
+        (2050, 0.2, "quantum", "far", 3, 0, 17316, 5772, 3996),
+        (2050, 0.2, "classical", "member", 3, 3, 23532, 8436, 23532),
+        (2050, 0.2, "classical", "far", 3, 0, 30303, 10101, 30303),
+        (2050, 0.2, "exact", "member", 3, 3, 15631, 5459, 15631),
+        (2050, 0.2, "exact", "far", 3, 0, 18444, 6148, 18444),
+],
+    3: [
+        (16, 0.1, "quantum", "member", 3, 3, 1680, 1040, 480),
+        (16, 0.1, "quantum", "far", 3, 0, 2640, 880, 480),
+        (16, 0.1, "classical", "member", 3, 3, 1680, 560, 1680),
+        (16, 0.1, "classical", "far", 3, 0, 1920, 640, 1920),
+        (16, 0.1, "exact", "member", 3, 3, 125, 43, 125),
+        (16, 0.1, "exact", "far", 3, 0, 138, 46, 138),
+        (16, 0.2, "quantum", "member", 3, 3, 600, 280, 240),
+        (16, 0.2, "quantum", "far", 3, 0, 1320, 440, 240),
+        (16, 0.2, "classical", "member", 3, 3, 760, 280, 760),
+        (16, 0.2, "classical", "far", 3, 0, 960, 320, 960),
+        (16, 0.2, "exact", "member", 3, 3, 121, 43, 121),
+        (16, 0.2, "exact", "far", 3, 0, 138, 46, 138),
+        (64, 0.1, "quantum", "member", 3, 3, 3000, 1320, 1440),
+        (64, 0.1, "quantum", "far", 3, 0, 5760, 1920, 1440),
+        (64, 0.1, "classical", "member", 3, 3, 5040, 1800, 5040),
+        (64, 0.1, "classical", "far", 3, 0, 5760, 1920, 5760),
+        (64, 0.1, "exact", "member", 3, 3, 517, 177, 517),
+        (64, 0.1, "exact", "far", 3, 0, 570, 190, 570),
+        (64, 0.2, "quantum", "member", 3, 3, 1740, 660, 720),
+        (64, 0.2, "quantum", "far", 3, 0, 2880, 960, 720),
+        (64, 0.2, "classical", "member", 3, 3, 2520, 960, 2520),
+        (64, 0.2, "classical", "far", 3, 0, 2880, 960, 2880),
+        (64, 0.2, "exact", "member", 3, 3, 517, 187, 517),
+        (64, 0.2, "exact", "far", 3, 0, 570, 190, 570),
+        (1024, 0.1, "quantum", "member", 3, 3, 15800, 6600, 6000),
+        (1024, 0.1, "quantum", "far", 3, 0, 24600, 8200, 6000),
+        (1024, 0.1, "classical", "member", 3, 3, 26400, 9600, 26400),
+        (1024, 0.1, "classical", "far", 3, 0, 38400, 12800, 38400),
+        (1024, 0.1, "exact", "member", 3, 3, 7259, 2559, 7259),
+        (1024, 0.1, "exact", "far", 3, 0, 9210, 3070, 9210),
+        (1024, 0.2, "quantum", "member", 3, 3, 6200, 3100, 3000),
+        (1024, 0.2, "quantum", "far", 3, 0, 12300, 4100, 3000),
+        (1024, 0.2, "classical", "member", 3, 3, 17300, 6100, 17300),
+        (1024, 0.2, "classical", "far", 3, 0, 19200, 6400, 19200),
+        (1024, 0.2, "exact", "member", 3, 3, 8555, 2961, 8555),
+        (1024, 0.2, "exact", "far", 3, 0, 9210, 3070, 9210),
+        (2050, 0.1, "quantum", "member", 3, 3, 27625, 10387, 7956),
+        (2050, 0.1, "quantum", "far", 3, 0, 34476, 11492, 7956),
+        (2050, 0.1, "classical", "member", 3, 3, 54145, 19448, 54145),
+        (2050, 0.1, "classical", "far", 3, 0, 60333, 20111, 60333),
+        (2050, 0.1, "exact", "member", 3, 3, 17191, 6029, 17191),
+        (2050, 0.1, "exact", "far", 3, 0, 18444, 6148, 18444),
+        (2050, 0.2, "quantum", "member", 3, 3, 15762, 6438, 3996),
+        (2050, 0.2, "quantum", "far", 3, 0, 17316, 5772, 3996),
+        (2050, 0.2, "classical", "member", 3, 3, 23532, 8436, 23532),
+        (2050, 0.2, "classical", "far", 3, 0, 30303, 10101, 30303),
+        (2050, 0.2, "exact", "member", 3, 3, 15631, 5459, 15631),
+        (2050, 0.2, "exact", "far", 3, 0, 18444, 6148, 18444),
+],
+}
+FROZEN_SKIP_REASON = "no far instance found for n=8, epsilon=0.45 after 3 attempts"
+FROZEN_SKIPPED_CELLS = [
+    (8, 0.45, "quantum", "member", 3, 3, 210, 84, 84),
+    (8, 0.45, "quantum", "far", 0, 0, 0, 0, 0),
+    (8, 0.45, "classical", "member", 3, 3, 182, 70, 182),
+    (8, 0.45, "classical", "far", 0, 0, 0, 0, 0),
+    (8, 0.45, "exact", "member", 3, 3, 55, 21, 55),
+    (8, 0.45, "exact", "far", 0, 0, 0, 0, 0),
+]
+
+
+def _frozen_config(**overrides):
+    base = dict(trials=6, seed=2024, modes=MODES, member_fraction=0.5)
+    base.update(overrides)
+    return ExperimentConfig(**base)
+
+
+def _expected_cell(record, skip_reason=None):
+    n, epsilon, mode, cls_, trials, accepts, queries, max_queries, reads = record
+    if not trials:
+        return (n, epsilon, mode, cls_, 0, 0, 0.0, 0, 0.0, skip_reason)
+    ledger = (queries / trials, max_queries, reads / trials)
+    return (n, epsilon, mode, cls_, trials, accepts, *ledger, None)
+
+
+@pytest.mark.parametrize("alphabet_size", sorted(FROZEN_CELLS))
+def test_seeded_report_is_frozen(alphabet_size):
+    config = _frozen_config(
+        sizes=(16, 64, 1024, 2050), epsilons=(0.1, 0.2), alphabet_size=alphabet_size
+    )
+    report = run_experiment(config)
+    assert [_cell_record(c) for c in report.cells] == [
+        _expected_cell(r) for r in FROZEN_CELLS[alphabet_size]
+    ]
+
+
+def test_seeded_report_with_skipped_cells_is_frozen():
+    config = _frozen_config(sizes=(8,), epsilons=(0.45,), max_far_attempts=3)
+    report = run_experiment(config)
+    assert [_cell_record(c) for c in report.cells] == [
+        _expected_cell(r, FROZEN_SKIP_REASON) for r in FROZEN_SKIPPED_CELLS
+    ]
