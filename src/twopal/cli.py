@@ -89,6 +89,7 @@ def _cmd_test(args: argparse.Namespace) -> int:
                     "quantum_charged": ledger.quantum_charged,
                     "predicate_calls": ledger.predicate_calls,
                     "total_charged": ledger.total_charged,
+                    "uncharged_reads": ledger.uncharged_reads,
                 }
             )
         )

@@ -294,8 +294,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     One trial per (size, epsilon, class, trial index) covers every mode; all
     trials are mapped in one pass, serially or through a process pool, and
-    cells are then listed by size, epsilon, mode and class. A cell's seconds sum its trials' per-mode seconds
-    (see _run_trial), so over a serial run the cells add up to the wall time.
+    cells are then listed by size, epsilon, mode and class. A cell's seconds
+    sum its trials' per-mode seconds (see _run_trial), so over a serial run
+    the cells add up to the wall time.
     A cell whose far-instance sampling exhausts its budget is reported with
     trials=0 and a skip reason instead of failing the sweep.
     """

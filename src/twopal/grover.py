@@ -14,9 +14,11 @@ ceil(cap_multiplier * sqrt(N)) total iterations is spent. Each round charges
 its iterations plus one verification evaluation; with no solutions the full
 cap is charged, mirroring a real run that cannot stop early.
 
-The simulator privately evaluates the predicate on the whole domain to learn
-the solution count; those meta-evaluations are never charged, and the count
-never reaches the caller through the outcome.
+The round loop, search_solutions, takes the solution indices from its caller:
+the tester finds them privately with its column-hit kernel, and the
+predicate form grover_search evaluates the predicate on the whole domain to
+list them. Neither is charged, and the solution count never reaches the
+caller through the outcome.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -92,6 +94,24 @@ def grover_search(
 ) -> GroverOutcome:
     """Search [0, domain_size) for an index where predicate holds.
 
+    Evaluates the predicate privately on the whole domain, never charged,
+    and runs search_solutions on the indices where it holds.
+    """
+    solutions = [i for i in range(domain_size) if predicate(i)]
+    return search_solutions(domain_size, solutions, rng, cost_per_call, ledger, config)
+
+
+def search_solutions(
+    domain_size: int,
+    solutions: Sequence[int],
+    rng: random.Random,
+    cost_per_call: int = 1,
+    ledger: Optional[QueryLedger] = None,
+    config: GroverConfig = DEFAULT_GROVER_CONFIG,
+) -> GroverOutcome:
+    """Search [0, domain_size) whose solutions are the ascending indices
+    in solutions.
+
     Every charged predicate evaluation costs cost_per_call input queries on
     the ledger: k + 1 per round (k iterations plus the verification
     measurement), or the flat iteration cap when there are no solutions. On
@@ -99,7 +119,6 @@ def grover_search(
     """
     if domain_size < 1:
         raise ValueError("domain must be nonempty")
-    solutions = [i for i in range(domain_size) if predicate(i)]
     t = len(solutions)
     cap = _iteration_cap(domain_size, config)
 

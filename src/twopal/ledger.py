@@ -16,11 +16,14 @@ class QueryLedger:
     classical_reads: direct reads of input symbols.
     quantum_charged: input queries attributed to simulated oracle applications.
     predicate_calls: predicate evaluations charged by a simulated search.
+    uncharged_reads: symbols the simulation reads privately to find a
+    search's solutions; never part of total_charged or any report.
     """
 
     classical_reads: int = 0
     quantum_charged: int = 0
     predicate_calls: int = 0
+    uncharged_reads: int = 0
 
     def read_classical(self, count: int = 1) -> None:
         if count < 0:
@@ -36,6 +39,11 @@ class QueryLedger:
         if count < 0:
             raise ValueError("ledger counts only increase")
         self.predicate_calls += count
+
+    def read_uncharged(self, count: int) -> None:
+        if count < 0:
+            raise ValueError("ledger counts only increase")
+        self.uncharged_reads += count
 
     @property
     def total_charged(self) -> int:

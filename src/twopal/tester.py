@@ -9,8 +9,14 @@ alpha*step among the multiples of step below n. The tester samples m random
 shifts, maps the left-shifted fingerprint of every grid row to the first row
 that has it, and searches the column grid for a matching right-shifted
 fingerprint - by simulated Grover search in the sublinear tester, by linear
-scan in the classical baseline (which uses sqrt-sized grids instead). Every
-fingerprint comes from one numpy gather, `_fingerprints`.
+scan in the classical baseline (which uses sqrt-sized grids instead).
+
+Both testers learn which columns match from one kernel, `_column_hits`: it
+fingerprints every column on the first PREFIX_SHIFTS shifts only, and builds
+full fingerprints for the columns whose prefix some row shares. Every
+fingerprint comes from a numpy gather, `_fingerprints`. The kernel's reads
+are the simulation's own; they are counted as uncharged reads and never
+charged.
 
 For a member some grid pair matches on every shift, for any shift sample.
 For a word epsilon-far from the language, a fixed pair matches all m random
@@ -23,12 +29,17 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .grover import DEFAULT_GROVER_CONFIG, GroverConfig, grover_search
+from .grover import (
+    DEFAULT_GROVER_CONFIG,
+    GroverConfig,
+    RoundTrace,
+    search_solutions,
+)
 from .ledger import QueryLedger
 from .words import Word
 
@@ -101,9 +112,10 @@ def _fingerprints(
 ) -> list[bytes]:
     """Row k is (x[(starts[k] + p) mod n] for each p in shifts). Charges no
     ledger; callers charge the reads they stand for."""
-    idx = np.add.outer(starts, shifts)
-    idx %= x.n
-    return [row.tobytes() for row in np.frombuffer(x.symbols, np.uint8)[idx]]
+    idx = np.add.outer(np.asarray(starts, dtype=np.int64), shifts)
+    block = np.take(np.frombuffer(x.symbols, np.uint8), idx, mode="wrap")
+    # one void item per row, which tolist() returns as bytes
+    return block.view(np.dtype((np.void, block.shape[1]))).ravel().tolist()
 
 
 def left_string(
@@ -129,6 +141,7 @@ class Verdict:
     accept: bool
     ledger: QueryLedger
     found_pair: Optional[tuple[int, int]] = None
+    rounds: list[RoundTrace] = field(default_factory=list)
 
 
 def _check_domain(n: int, epsilon: float) -> None:
@@ -150,6 +163,38 @@ def _build_left_table(
     return rows
 
 
+# columns are screened on this many shifts before any full fingerprint
+PREFIX_SHIFTS = 48
+
+
+def _column_hits(
+    x: Word,
+    j_set: range,
+    sample: OffsetSample,
+    rows: dict[bytes, int],
+    ledger: QueryLedger,
+) -> dict[int, int]:
+    """Map each column k whose right fingerprint is a row key to the first
+    row that has it, in ascending k.
+
+    Every column's fingerprint on the first PREFIX_SHIFTS shifts is looked up
+    among the rows' prefixes first; only the columns that pass get a full
+    fingerprint. The symbols read here find the search's solutions and go
+    to ledger.uncharged_reads, never to a charged count.
+    """
+    width = min(PREFIX_SHIFTS, sample.m)
+    prefixes = {key[:width] for key in rows}
+    heads = _fingerprints(x, j_set, sample.offsets[:width])
+    candidates = [k for k, head in enumerate(heads) if head in prefixes]
+    ledger.read_uncharged(len(j_set) * width)
+    if width < sample.m:
+        ledger.read_uncharged(len(candidates) * sample.m)
+        columns = _fingerprints(x, [j_set[k] for k in candidates], sample.offsets)
+    else:
+        columns = [heads[k] for k in candidates]
+    return {k: rows[s] for k, s in zip(candidates, columns) if s in rows}
+
+
 def quantum_test(
     x: Word,
     epsilon: float,
@@ -169,10 +214,10 @@ def quantum_test(
     sample = sample_offsets(x.n, epsilon, rng)
     grids = cube_grids(x.n)
     rows = _build_left_table(x, grids, sample, ledger)
-    columns = _fingerprints(x, grids.j_set, sample.offsets)
-    outcome = grover_search(
-        len(columns),
-        lambda k: columns[k] in rows,
+    hits = _column_hits(x, grids.j_set, sample, rows, ledger)
+    outcome = search_solutions(
+        len(grids.j_set),
+        list(hits),
         rng,
         cost_per_call=sample.m,
         ledger=ledger,
@@ -180,8 +225,8 @@ def quantum_test(
     )
     found_pair = None
     if outcome.found is not None:
-        found_pair = (rows[columns[outcome.found]], grids.j_set[outcome.found])
-    return Verdict(outcome.found is not None, ledger, found_pair)
+        found_pair = (hits[outcome.found], grids.j_set[outcome.found])
+    return Verdict(outcome.found is not None, ledger, found_pair, outcome.rounds)
 
 
 def classical_test(x: Word, epsilon: float, rng: random.Random) -> Verdict:
@@ -197,10 +242,10 @@ def classical_test(x: Word, epsilon: float, rng: random.Random) -> Verdict:
     sample = sample_offsets(x.n, epsilon, rng)
     grids = sqrt_grids(x.n)
     rows = _build_left_table(x, grids, sample, ledger)
-    columns = _fingerprints(x, grids.j_set, sample.offsets)
-    for k, s in enumerate(columns):
-        if s in rows:
-            ledger.read_classical((k + 1) * sample.m)
-            return Verdict(True, ledger, (rows[s], grids.j_set[k]))
-    ledger.read_classical(len(columns) * sample.m)
+    hits = _column_hits(x, grids.j_set, sample, rows, ledger)
+    if hits:
+        k = min(hits)
+        ledger.read_classical((k + 1) * sample.m)
+        return Verdict(True, ledger, (hits[k], grids.j_set[k]))
+    ledger.read_classical(len(grids.j_set) * sample.m)
     return Verdict(False, ledger, None)

@@ -48,6 +48,17 @@ def test_test_subcommand_json_lines(capsys):
         assert row["total_charged"] == row["classical_reads"] + row["quantum_charged"]
 
 
+@pytest.mark.parametrize("mode, columns", [("quantum", 8), ("classical", 4)])
+def test_test_subcommand_reports_uncharged_reads(mode, columns, capsys):
+    # n = 16, eps 0.3: m = 27 shifts, under the 48-shift prefix, so the
+    # private column reads are m per column and none of them is charged
+    code = main(["test", "0110100110100110", "--epsilon", "0.3", "--mode", mode])
+    assert code == 0
+    row = json.loads(capsys.readouterr().out)
+    assert row["uncharged_reads"] == columns * 27
+    assert row["total_charged"] == row["classical_reads"] + row["quantum_charged"]
+
+
 @pytest.mark.parametrize("trials", ["0", "-1"])
 def test_test_subcommand_rejects_nonpositive_trials(trials, capsys):
     code = main(["test", "01101001", "--epsilon", "0.3", "--trials", trials])

@@ -101,18 +101,32 @@ def test_fast_equals_baseline_periodic_and_adversarial(n):
         assert distance_to_language(w, "fast") == distance_to_language(w, "baseline")
 
 
+@pytest.mark.parametrize("n", [6, 10, 1022, 2050, 4098])
+def test_fast_equals_baseline_on_odd_half_lengths(n):
+    # the correlation runs at length n/2, which is odd here
+    rng = random.Random(n)
+    words = list(_adversarial_words(n))
+    words += [random_word(n, rng, alphabet_size=k) for k in (2, 2, 3, 5)]
+    for w in words:
+        assert distance_to_language(w, "fast") == distance_to_language(w, "baseline")
+
+
 # --- the derived last spectrum -----------------------------------------
 
 
-def _count_transforms(monkeypatch):
+def _count_transforms(monkeypatch, names=("rfft",)):
+    """Record (name, real length) of every call to the named numpy.fft
+    transforms: the input length of rfft, the output length of irfft."""
     calls = []
-    rfft = np.fft.rfft
+    for name in names:
+        transform = getattr(np.fft, name)
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return rfft(*args, **kwargs)
+        def counted(a, *args, _name=name, _transform=transform, **kwargs):
+            out = _transform(a, *args, **kwargs)
+            calls.append((_name, len(a) if _name == "rfft" else len(out)))
+            return out
 
-    monkeypatch.setattr(np.fft, "rfft", counted)
+        monkeypatch.setattr(np.fft, name, counted)
     return calls
 
 
@@ -148,10 +162,13 @@ def test_one_symbol_words_run_no_transform(monkeypatch, alphabet_size, n):
     [(2, (0, 1)), (3, (0, 1)), (3, (0, 1, 2)), (7, (2, 4, 5, 6))],
 )
 def test_transforms_one_fewer_than_present_symbols(monkeypatch, alphabet_size, codes):
+    # two half-length forward transforms (even and odd positions) per
+    # present symbol but the last, then one half-length inverse
     w = Word(bytes(c for c in codes for _ in range(64)), alphabet_size)
-    calls = _count_transforms(monkeypatch)
+    calls = _count_transforms(monkeypatch, ("rfft", "irfft"))
     distance_to_language(w)
-    assert len(calls) == len(codes) - 1
+    h = w.n // 2
+    assert calls == [("rfft", h)] * (2 * (len(codes) - 1)) + [("irfft", h)]
 
 
 @pytest.mark.parametrize("alphabet_size", [5, 7, 256])

@@ -11,7 +11,7 @@ from twopal import (
     round_success_probability,
     schedule_success_probability,
 )
-from twopal.grover import _iteration_cap, DEFAULT_GROVER_CONFIG
+from twopal.grover import _iteration_cap, DEFAULT_GROVER_CONFIG, search_solutions
 
 mp.dps = 50
 
@@ -197,3 +197,28 @@ def test_schedule_probability_matches_empirical():
     )
     se = math.sqrt(max(analytic * (1 - analytic), 1e-12) / runs)
     assert abs(hits / runs - analytic) <= 4 * se + 1e-9
+
+
+def test_solution_list_form_matches_predicate_form():
+    # same outcome, same charges and the same random stream left behind
+    rng = random.Random(41)
+    for domain in (1, 2, 7, 64, 1000):
+        for t in sorted({0, 1, min(2, domain), domain // 3, domain}):
+            solutions = sorted(rng.sample(range(domain), t))
+            sol_set = set(solutions)
+            for seed in range(5):
+                by_list, by_predicate = random.Random(seed), random.Random(seed)
+                list_ledger, predicate_ledger = QueryLedger(), QueryLedger()
+                a = search_solutions(domain, solutions, by_list, 3, list_ledger)
+                b = grover_search(
+                    domain, lambda i: i in sol_set, by_predicate, 3, predicate_ledger
+                )
+                assert (a.found, a.iterations_used, a.rounds) == (
+                    b.found,
+                    b.iterations_used,
+                    b.rounds,
+                )
+                assert list_ledger == predicate_ledger
+                assert by_list.getstate() == by_predicate.getstate()
+    with pytest.raises(ValueError):
+        search_solutions(0, [], random.Random(0))

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from twopal import (
     gen_far,
     gen_gamma,
     gen_member,
+    grover_search,
     icbrt,
     left_string,
     offset_count,
@@ -27,7 +29,12 @@ from twopal import (
     sqrt_grids,
 )
 from twopal.ledger import QueryLedger
-from twopal.tester import _fingerprints
+from twopal.tester import (
+    PREFIX_SHIFTS,
+    _build_left_table,
+    _column_hits,
+    _fingerprints,
+)
 
 
 # --- integer roots and grids -------------------------------------------
@@ -397,3 +404,230 @@ def test_seeded_verdicts_are_frozen(mode, kind, n, epsilon, seed, expected):
         ledger.quantum_charged,
         ledger.predicate_calls,
     ) == expected
+
+
+# --- column-hit kernel -------------------------------------------------
+
+
+def _scan_hits(x, grids, sample):
+    """Reference for the kernel: every column's full right fingerprint looked
+    up among the rows' left fingerprints, first row per fingerprint."""
+    rows = {}
+    for i in grids.i_set:
+        rows.setdefault(left_string(x, i, sample), i)
+    hits = {}
+    for k, j in enumerate(grids.j_set):
+        s = right_string(x, j, sample)
+        if s in rows:
+            hits[k] = rows[s]
+    return hits
+
+
+def _scan_verdict(mode, x, epsilon, seed):
+    """Hits and verdict fields of a tester that scans every column in full
+    and searches with the predicate form of the simulator."""
+    rng = random.Random(seed)
+    sample = sample_offsets(x.n, epsilon, rng)
+    ledger = QueryLedger()
+    grids = cube_grids(x.n) if mode == "quantum" else sqrt_grids(x.n)
+    ledger.read_classical(grids.step * sample.m)
+    hits = _scan_hits(x, grids, sample)
+    rounds = []
+    if mode == "quantum":
+        outcome = grover_search(
+            len(grids.j_set), lambda k: k in hits, rng, sample.m, ledger
+        )
+        found, rounds = outcome.found, outcome.rounds
+    else:
+        found = min(hits, default=None)
+        scanned = len(grids.j_set) if found is None else found + 1
+        ledger.read_classical(scanned * sample.m)
+    pair = None if found is None else (hits[found], grids.j_set[found])
+    fields = (
+        found is not None,
+        pair,
+        ledger.classical_reads,
+        ledger.quantum_charged,
+        ledger.predicate_calls,
+        rounds,
+    )
+    return list(hits.items()), fields
+
+
+def _check_against_scan(x, epsilon, seed):
+    """Assert the kernel and both testers match the full scan; return how
+    many columns passed the prefix but failed the full fingerprint."""
+    near_misses = 0
+    for mode, run in (("quantum", quantum_test), ("classical", classical_test)):
+        expected_hits, expected = _scan_verdict(mode, x, epsilon, seed)
+        sample = sample_offsets(x.n, epsilon, random.Random(seed))
+        grids = cube_grids(x.n) if mode == "quantum" else sqrt_grids(x.n)
+        rows = _build_left_table(x, grids, sample, QueryLedger())
+        ledger = QueryLedger()
+        hits = _column_hits(x, grids.j_set, sample, rows, ledger)
+        assert list(hits.items()) == expected_hits, (mode, x.symbols, seed)
+        width = min(PREFIX_SHIFTS, sample.m)
+        if width < sample.m:
+            extra = ledger.uncharged_reads - len(grids.j_set) * width
+            near_misses += extra // sample.m - len(hits)
+        verdict = run(x, epsilon, random.Random(seed))
+        got = (
+            verdict.accept,
+            verdict.found_pair,
+            verdict.ledger.classical_reads,
+            verdict.ledger.quantum_charged,
+            verdict.ledger.predicate_calls,
+            verdict.rounds,
+        )
+        assert got == expected, (mode, x.symbols, seed)
+    return near_misses
+
+
+def test_kernel_matches_full_scan_on_every_small_binary_word():
+    # eps 0.1 gives m = 40 < PREFIX_SHIFTS at n = 4 and m = 52..72 above it
+    assert offset_count(4, 0.1) < PREFIX_SHIFTS < offset_count(6, 0.1)
+    for n in range(4, 13, 2):
+        for index, x in enumerate(all_words(n)):
+            _check_against_scan(x, 0.1, index)
+
+
+def test_kernel_matches_full_scan_when_m_equals_the_prefix():
+    assert offset_count(8, 0.125) == PREFIX_SHIFTS
+    for index, x in enumerate(all_words(8)):
+        _check_against_scan(x, 0.125, index)
+
+
+def _near_member(n, rng, alphabet_size):
+    half_u = rng.randint(1, n // 2 - 1)
+    x = bytearray(gen_member(half_u, n // 2 - half_u, rng, alphabet_size).symbols)
+    for pos in rng.sample(range(n), max(1, n // 64)):
+        x[pos] = (x[pos] + 1) % alphabet_size
+    return Word(bytes(x), alphabet_size)
+
+
+@pytest.mark.parametrize("alphabet_size", [2, 3])
+def test_kernel_matches_full_scan_on_seeded_words(alphabet_size):
+    rng = random.Random(67 + alphabet_size)
+    near_misses = 0
+    for n in (16, 64, 1000, 4096, 2**15):
+        for epsilon in (0.1, 0.3, 0.6):
+            for seed in range(3):
+                half_u = rng.randint(1, n // 2 - 1)
+                words = [
+                    random_word(n, rng, alphabet_size),
+                    gen_member(half_u, n // 2 - half_u, rng, alphabet_size),
+                    _near_member(n, rng, alphabet_size),
+                ]
+                for x in words:
+                    near_misses += _check_against_scan(x, epsilon, seed)
+    # some columns passed the prefix and were then dropped by the full check
+    assert near_misses > 0
+
+
+def _periodic_words(n):
+    yield Word(bytes(n))
+    yield Word(bytes(i % 2 for i in range(n)))
+    yield Word(bytes(int(i % 4 == 3) for i in range(n)))
+    for i in sorted({0, 1, n // 2, n - 1}):
+        yield gen_gamma(n, i)
+
+
+@pytest.mark.parametrize("n", [16, 64, 1000, 1024, 4096])
+def test_kernel_matches_full_scan_on_periodic_words(n):
+    for x in _periodic_words(n):
+        for epsilon in (0.1, 0.5):
+            for seed in range(3):
+                _check_against_scan(x, epsilon, seed)
+
+
+# (mode, word, seed, (accept, found_pair, classical_reads, quantum_charged,
+# predicate_calls)) at n = 2^21, eps 0.1, recorded before the prefix filter:
+# every column of these words survives the prefix, the kernel's worst case
+WORST_CASE_VERDICTS = [
+    ("quantum", "zeros", 0, (True, (0, 1975040), 53760, 420, 1)),
+    ("classical", "zeros", 0, (True, (0, 0), 609000, 0, 0)),
+    ("quantum", "zeros", 7, (True, (0, 189696), 53760, 420, 1)),
+    ("classical", "zeros", 7, (True, (0, 0), 609000, 0, 0)),
+    ("quantum", "alt", 0, (True, (0, 1975040), 53760, 420, 1)),
+    ("classical", "alt", 0, (True, (0, 0), 609000, 0, 0)),
+    ("quantum", "alt", 7, (True, (0, 189696), 53760, 420, 1)),
+    ("classical", "alt", 7, (True, (0, 0), 609000, 0, 0)),
+    ("quantum", "0001", 0, (True, (2, 1975040), 53760, 420, 1)),
+    ("classical", "0001", 0, (True, (2, 0), 609000, 0, 0)),
+    ("quantum", "0001", 7, (True, (2, 189696), 53760, 420, 1)),
+    ("classical", "0001", 7, (True, (2, 0), 609000, 0, 0)),
+]
+
+
+def test_worst_case_verdicts_at_large_n_are_unchanged_and_bounded():
+    n = 2**21
+    words = {
+        "zeros": Word(bytes(n)),
+        "alt": Word(bytes(i % 2 for i in range(n))),
+        "0001": Word(bytes(int(i % 4 == 3) for i in range(n))),
+    }
+    start = time.perf_counter()
+    for mode, name, seed, expected in WORST_CASE_VERDICTS:
+        run = quantum_test if mode == "quantum" else classical_test
+        verdict = run(words[name], 0.1, random.Random(seed))
+        ledger = verdict.ledger
+        assert (
+            verdict.accept,
+            verdict.found_pair,
+            ledger.classical_reads,
+            ledger.quantum_charged,
+            ledger.predicate_calls,
+        ) == expected, (mode, name, seed)
+    # the twelve verdicts take about 0.3 s on a 2-core host
+    assert time.perf_counter() - start < 10.0
+
+
+def _prefix_candidates(x, grids, sample):
+    """Columns whose fingerprint on the first min(PREFIX_SHIFTS, m) shifts
+    is some row's."""
+    head = OffsetSample(sample.offsets[:PREFIX_SHIFTS])
+    rows = {left_string(x, i, head) for i in grids.i_set}
+    return sum(right_string(x, j, head) in rows for j in grids.j_set)
+
+
+def test_uncharged_reads_are_bounded_and_never_charged():
+    rng = random.Random(71)
+    n = 2**21
+    cases = [
+        (gen_far(n, 0.1, rng), 0.1),
+        (gen_member(300, 212, rng), 0.1),
+        (Word(bytes(1024)), 0.1),
+        (Word(bytes(i % 2 for i in range(64))), 0.5),
+    ]
+    testers = ((quantum_test, cube_grids), (classical_test, sqrt_grids))
+    for x, epsilon in cases:
+        for run, make_grids in testers:
+            verdict = run(x, epsilon, random.Random(5))
+            sample = sample_offsets(x.n, epsilon, random.Random(5))
+            grids = make_grids(x.n)
+            m = sample.m
+            bound = len(grids.j_set) * min(PREFIX_SHIFTS, m)
+            bound += _prefix_candidates(x, grids, sample) * m
+            ledger = verdict.ledger
+            assert 0 < ledger.uncharged_reads <= bound
+            charged = ledger.classical_reads + ledger.quantum_charged
+            assert ledger.total_charged == charged
+    # on a far word almost no column survives the prefix, so the private
+    # reads stay far below the m per column of building every fingerprint
+    far = cases[0][0]
+    for run, make_grids in testers:
+        verdict = run(far, 0.1, random.Random(5))
+        m = offset_count(n, 0.1)
+        assert verdict.ledger.uncharged_reads < len(make_grids(n).j_set) * m
+        assert not verdict.accept
+
+
+def test_quantum_verdict_carries_its_rounds():
+    w = gen_member(100, 412, random.Random(71))
+    verdict = quantum_test(w, 0.1, random.Random(73))
+    assert verdict.accept and verdict.rounds
+    ledger = verdict.ledger
+    assert ledger.predicate_calls == sum(r.iterations + 1 for r in verdict.rounds)
+    far = gen_far(1024, 0.1, random.Random(79))
+    assert quantum_test(far, 0.1, random.Random(81)).rounds == []
+    assert classical_test(w, 0.1, random.Random(73)).rounds == []
