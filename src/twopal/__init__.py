@@ -17,8 +17,6 @@ from .generators import (
     random_word,
 )
 from .grover import (
-    DEFAULT_GROVER_CONFIG,
-    GroverConfig,
     GroverOutcome,
     grover_search,
     round_success_probability,
@@ -52,11 +50,9 @@ from .tester import (
 from .words import Decomposition, RotatedDoubledView, Word, reverse
 
 __all__ = [
-    "DEFAULT_GROVER_CONFIG",
     "Decomposition",
     "DistanceResult",
     "FarInstanceError",
-    "GroverConfig",
     "GroverOutcome",
     "IndexGrids",
     "MembershipResult",

@@ -17,19 +17,21 @@ from .tester import classical_test, offset_count, quantum_test
 from .words import Word
 
 
-def _parse_word(text: str, alphabet_size: int) -> Word:
+# a word argument that names a file is read from it: one argv string is capped
+# at 128 KiB on Linux, far below the lengths the tester is meant for
+def _read_word_argument(args: argparse.Namespace) -> Word:
+    alphabet_size = 2 if args.alphabet_size is None else args.alphabet_size
+    path = Path(args.word)
+    try:
+        is_file = path.is_file()
+    except OSError:  # a word longer than a file name may be
+        is_file = False
+    text = path.read_text().strip() if is_file else args.word
     return Word.from_text(text, alphabet_size)
 
 
-def _read_word_argument(arg: str, alphabet_size: int) -> Word:
-    path = Path(arg)
-    if path.is_file():
-        return _parse_word(path.read_text().strip(), alphabet_size)
-    return _parse_word(arg, alphabet_size)
-
-
 def _cmd_member(args: argparse.Namespace) -> int:
-    word = _parse_word(args.word, args.alphabet_size)
+    word = _read_word_argument(args)
     result = exact_member(word, QueryLedger())
     witness = result.witness
     print(
@@ -45,7 +47,7 @@ def _cmd_member(args: argparse.Namespace) -> int:
 
 
 def _cmd_distance(args: argparse.Namespace) -> int:
-    word = _parse_word(args.word, args.alphabet_size)
+    word = _read_word_argument(args)
     result = distance_to_language(word)
     print(
         json.dumps(
@@ -62,7 +64,7 @@ def _cmd_distance(args: argparse.Namespace) -> int:
 def _cmd_test(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
-    word = _read_word_argument(args.word, args.alphabet_size)
+    word = _read_word_argument(args)
     if offset_count(word.n, args.epsilon) >= word.n:
         print(
             f"warning: fingerprint length m >= n for n={word.n}, "
@@ -103,6 +105,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         overrides["seed"] = args.seed
     if args.workers is not None:
         overrides["workers"] = args.workers
+    if args.alphabet_size is not None:
+        overrides["alphabet_size"] = args.alphabet_size
     if overrides:
         config = dataclasses.replace(config, **overrides)
     report = run_experiment(config)
@@ -133,18 +137,23 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--alphabet-size", type=int, default=2, help="symbol alphabet size"
+        "--alphabet-size",
+        type=int,
+        default=None,
+        help="symbol alphabet size (default 2, or the experiment config's)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_member = sub.add_parser("member", help="exact membership with witness")
-    p_member.add_argument("word", help="word as a digit string, e.g. 01101001")
+    p_member.add_argument(
+        "word", help="word as a digit string, e.g. 01101001, or a file holding one"
+    )
     p_member.set_defaults(func=_cmd_member)
 
     p_distance = sub.add_parser(
         "distance", help="exact Hamming distance to the language"
     )
-    p_distance.add_argument("word", help="word as a digit string")
+    p_distance.add_argument("word", help="word as a digit string, or a file holding one")
     p_distance.set_defaults(func=_cmd_distance)
 
     p_test = sub.add_parser("test", help="run the property tester")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .words import Decomposition, Word
+from .words import Decomposition, Word, check_even_length
 
 
 @dataclass(frozen=True)
@@ -33,11 +33,6 @@ class DistanceResult:
 def far_threshold(epsilon: float, n: int) -> int:
     """ceil(epsilon * n), tolerating float rounding at integer products."""
     return math.ceil(epsilon * n - 1e-9)
-
-
-def _check_domain(x: Word) -> None:
-    if x.n < 4 or x.n % 2:
-        raise ValueError(f"distance needs even length >= 4, got n={x.n}")
 
 
 def mismatched_pairs(x: Word, half_u: int) -> list[tuple[int, int]]:
@@ -111,7 +106,7 @@ def distance_to_language(x: Word, method: str = "auto") -> DistanceResult:
     identical results, including the smallest-|u| tie-break on the reported
     split.
     """
-    _check_domain(x)
+    check_even_length(x.n)
     if method in ("auto", "fast"):
         return _distance_fast(x)
     if method == "baseline":
@@ -121,5 +116,4 @@ def distance_to_language(x: Word, method: str = "auto") -> DistanceResult:
 
 def is_eps_far(x: Word, epsilon: float) -> bool:
     """True iff x is at distance >= ceil(epsilon * n) from every member."""
-    _check_domain(x)
     return distance_to_language(x).distance >= far_threshold(epsilon, x.n)

@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import Optional
 
 from .generators import FarInstanceError, gen_far, gen_member
-from .grover import GroverConfig
 from .ledger import QueryLedger
 from .membership import exact_member
 from .tester import classical_test, quantum_test
@@ -79,7 +78,6 @@ class ExperimentConfig:
     seed: int = 0
     modes: tuple[str, ...] = ("quantum",)
     member_fraction: float = 0.5
-    grover: GroverConfig = field(default_factory=GroverConfig)
     workers: int = 1
     max_far_attempts: int = 1000
     alphabet_size: int = 2
@@ -123,7 +121,6 @@ class ExperimentConfig:
             raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
         data = dict(raw)
         try:
-            grover = GroverConfig(**data.pop("grover", {}))
             thresholds = AssertionThresholds(**data.pop("assertions", {}))
         except TypeError as exc:
             raise ValueError(f"bad config section: {exc}") from None
@@ -143,7 +140,7 @@ class ExperimentConfig:
         ]
         if missing:
             raise ValueError(f"missing config keys: {missing}")
-        return cls(grover=grover, assertions=thresholds, **data)
+        return cls(assertions=thresholds, **data)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -183,10 +180,13 @@ class ExperimentReport:
     cells: list[CellResult]
 
 
-def wilson_interval(
-    successes: int, trials: int, z: float = 1.959963984540054
-) -> tuple[float, float]:
+# the standard normal's 97.5% quantile, for two-sided 95% intervals
+_Z95 = 1.959963984540054
+
+
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% score interval for a binomial proportion."""
+    z = _Z95
     if trials == 0:
         return (0.0, 1.0)
     phat = successes / trials
@@ -212,24 +212,14 @@ class _TrialSpec:
     modes: tuple[str, ...]
     instance_class: str
     seed: int
-    cap_multiplier: float
-    growth_factor: float
     alphabet_size: int
     max_far_attempts: int
 
 
 def _run_mode(spec: _TrialSpec, mode: str, x, rng: random.Random) -> tuple:
-    if mode == "quantum":
-        verdict = quantum_test(
-            x,
-            spec.epsilon,
-            rng,
-            GroverConfig(spec.cap_multiplier, spec.growth_factor),
-        )
-        ledger = verdict.ledger
-        return (verdict.accept, ledger.total_charged, ledger.classical_reads)
-    if mode == "classical":
-        verdict = classical_test(x, spec.epsilon, rng)
+    if mode != "exact":
+        tester = quantum_test if mode == "quantum" else classical_test
+        verdict = tester(x, spec.epsilon, rng)
         ledger = verdict.ledger
         return (verdict.accept, ledger.total_charged, ledger.classical_reads)
     ledger = QueryLedger()
@@ -280,8 +270,6 @@ def _cell_specs(
             modes=config.modes,
             instance_class=cls_,
             seed=_trial_seed(config.seed, cell_key, trial),
-            cap_multiplier=config.grover.cap_multiplier,
-            growth_factor=config.grover.growth_factor,
             alphabet_size=config.alphabet_size,
             max_far_attempts=config.max_far_attempts,
         )

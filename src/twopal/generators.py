@@ -12,18 +12,13 @@ from __future__ import annotations
 import random
 
 from .distance import distance_to_language, far_threshold
-from .words import Word
+from .words import Word, check_even_length
 
 _TRANSLATE_TABLES = {}
 
 
 class FarInstanceError(RuntimeError):
     """No far instance found within the attempt budget."""
-
-
-def _check_even_length(n: int) -> None:
-    if n < 4 or n % 2:
-        raise ValueError(f"membership-relevant lengths are even and >= 4, got {n}")
 
 
 def random_word(n: int, rng: random.Random, alphabet_size: int = 2) -> Word:
@@ -52,14 +47,14 @@ def gen_member(
 
 def gen_sigma(n: int, alphabet_size: int = 2) -> Word:
     """The all-zero word; always a member (u = 0, v = the rest)."""
-    _check_even_length(n)
+    check_even_length(n)
     return Word(bytes(n), alphabet_size)
 
 
 def gen_gamma(n: int, i: int, alphabet_size: int = 2) -> Word:
     """All zeros except a single one at position i; never a member, since the
     lone one has no mirror partner under any split."""
-    _check_even_length(n)
+    check_even_length(n)
     if not 0 <= i < n:
         raise ValueError(f"position {i} out of range [0, {n})")
     symbols = bytearray(n)
@@ -79,7 +74,7 @@ def gen_far(
     Raises FarInstanceError when the budget runs out, which signals that
     epsilon is too large for this n (the distance never exceeds n/2).
     """
-    _check_even_length(n)
+    check_even_length(n)
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     threshold = far_threshold(epsilon, n)

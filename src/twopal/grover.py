@@ -7,12 +7,15 @@ measures therefore succeeds with probability sin((2k+1)*theta)^2 exactly, so
 the simulator samples round outcomes from that formula instead of evolving a
 state vector.
 
-Rounds follow the classic unknown-count schedule: the iteration count of each
-round is drawn uniformly from [0, M) with M growing geometrically from 1 (and
-never beyond sqrt(N)), until a measurement hits a solution or a hard cap of
-ceil(cap_multiplier * sqrt(N)) total iterations is spent. Each round charges
-its iterations plus one verification evaluation; with no solutions the full
-cap is charged, mirroring a real run that cannot stop early.
+Rounds follow the classic unknown-count schedule of Boyer, Brassard, Hoyer
+and Tapp: the iteration count of each round is drawn uniformly from [0, M)
+with M growing by GROWTH_FACTOR per round from 1 (and never beyond sqrt(N)),
+until a measurement hits a solution or a hard cap of
+ceil(CAP_MULTIPLIER * sqrt(N)) total iterations is spent. Both are fixed
+constants, not settings, because the error bound the tester relies on holds
+for exactly these values. Each round charges its iterations plus one
+verification evaluation; with no solutions the full cap is charged, mirroring
+a real run that cannot stop early.
 
 The round loop, search_solutions, takes the solution indices from its caller:
 the tester finds them privately with its column-hit kernel, and the
@@ -33,21 +36,14 @@ import numpy as np
 from .ledger import QueryLedger
 
 
-@dataclass(frozen=True)
-class GroverConfig:
-    """Schedule knobs: total-iteration cap multiplier and per-round growth."""
+# the completeness bound (search error at most 0.1 whenever a solution
+# exists) is established, through schedule_success_probability, for these
+# two values only
+CAP_MULTIPLIER = 3.0
+GROWTH_FACTOR = 8 / 7
 
-    cap_multiplier: float = 3.0
-    growth_factor: float = 8 / 7
-
-    def __post_init__(self) -> None:
-        if not 0 < self.cap_multiplier < math.inf:
-            raise ValueError("cap multiplier must be positive and finite")
-        if not 1 < self.growth_factor < math.inf:
-            raise ValueError("growth factor must exceed 1 and be finite")
-
-
-DEFAULT_GROVER_CONFIG = GroverConfig()
+# the exact analysis stops once less mass than this is still searching
+_RUNNING_MASS_TOL = 1e-14
 
 # rounds are cheap; this only guards against astronomically unlucky streams
 _ROUND_LIMIT_FLOOR = 64
@@ -71,17 +67,17 @@ def round_success_probability(k: int, theta: float) -> float:
     return math.sin((2 * k + 1) * theta) ** 2
 
 
-def _round_caps(m_max: float, growth: float) -> Iterator[int]:
+def _round_caps(m_max: float) -> Iterator[int]:
     """Per-round draw bounds ceil(M); shared by the sampler and the exact
     analysis so both see the identical schedule, float drift included."""
     m = 1.0
     while True:
         yield math.ceil(m)
-        m = min(m * growth, m_max)
+        m = min(m * GROWTH_FACTOR, m_max)
 
 
-def _iteration_cap(domain_size: int, config: GroverConfig) -> int:
-    return math.ceil(config.cap_multiplier * math.sqrt(domain_size))
+def _iteration_cap(domain_size: int) -> int:
+    return math.ceil(CAP_MULTIPLIER * math.sqrt(domain_size))
 
 
 def grover_search(
@@ -90,7 +86,6 @@ def grover_search(
     rng: random.Random,
     cost_per_call: int = 1,
     ledger: Optional[QueryLedger] = None,
-    config: GroverConfig = DEFAULT_GROVER_CONFIG,
 ) -> GroverOutcome:
     """Search [0, domain_size) for an index where predicate holds.
 
@@ -98,7 +93,7 @@ def grover_search(
     and runs search_solutions on the indices where it holds.
     """
     solutions = [i for i in range(domain_size) if predicate(i)]
-    return search_solutions(domain_size, solutions, rng, cost_per_call, ledger, config)
+    return search_solutions(domain_size, solutions, rng, cost_per_call, ledger)
 
 
 def search_solutions(
@@ -107,7 +102,6 @@ def search_solutions(
     rng: random.Random,
     cost_per_call: int = 1,
     ledger: Optional[QueryLedger] = None,
-    config: GroverConfig = DEFAULT_GROVER_CONFIG,
 ) -> GroverOutcome:
     """Search [0, domain_size) whose solutions are the ascending indices
     in solutions.
@@ -120,7 +114,7 @@ def search_solutions(
     if domain_size < 1:
         raise ValueError("domain must be nonempty")
     t = len(solutions)
-    cap = _iteration_cap(domain_size, config)
+    cap = _iteration_cap(domain_size)
 
     if t == 0:
         if ledger is not None:
@@ -129,7 +123,7 @@ def search_solutions(
         return GroverOutcome(found=None, iterations_used=cap, rounds=[])
 
     theta = math.asin(math.sqrt(t / domain_size))
-    caps = _round_caps(math.sqrt(domain_size), config.growth_factor)
+    caps = _round_caps(math.sqrt(domain_size))
     round_limit = max(_ROUND_LIMIT_FLOOR, 4 * cap)
     used = 0
     rounds: list[RoundTrace] = []
@@ -148,12 +142,7 @@ def search_solutions(
     return GroverOutcome(found=found, iterations_used=used, rounds=rounds)
 
 
-def schedule_success_probability(
-    domain_size: int,
-    solution_count: int,
-    config: GroverConfig = DEFAULT_GROVER_CONFIG,
-    tol: float = 1e-14,
-) -> float:
+def schedule_success_probability(domain_size: int, solution_count: int) -> float:
     """Exact overall success probability of grover_search for a given
     solution count, by dynamic programming over consumed iterations.
 
@@ -170,7 +159,7 @@ def schedule_success_probability(
     if solution_count == 0:
         return 0.0
     theta = math.asin(math.sqrt(solution_count / domain_size))
-    cap = _iteration_cap(domain_size, config)
+    cap = _iteration_cap(domain_size)
     p = np.array([round_success_probability(k, theta) for k in range(cap + 1)])
 
     budgets = np.arange(cap)
@@ -178,9 +167,9 @@ def schedule_success_probability(
     running = np.zeros(cap)
     running[0] = 1.0
     failed = 0.0
-    caps = _round_caps(math.sqrt(domain_size), config.growth_factor)
+    caps = _round_caps(math.sqrt(domain_size))
     for _ in range(max(_ROUND_LIMIT_FLOOR, 4 * cap)):
-        if running.sum() <= tol:
+        if running.sum() <= _RUNNING_MASS_TOL:
             break
         draw_bound = next(caps)
         weight = 1.0 / draw_bound

@@ -34,14 +34,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .grover import (
-    DEFAULT_GROVER_CONFIG,
-    GroverConfig,
-    RoundTrace,
-    search_solutions,
-)
+from .grover import RoundTrace, search_solutions
 from .ledger import QueryLedger
-from .words import Word
+from .words import Word, check_even_length
 
 
 def icbrt(n: int) -> int:
@@ -145,8 +140,7 @@ class Verdict:
 
 
 def _check_domain(n: int, epsilon: float) -> None:
-    if n < 4 or n % 2:
-        raise ValueError(f"tester needs even length >= 4, got n={n}")
+    check_even_length(n)
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
 
@@ -195,12 +189,7 @@ def _column_hits(
     return {k: rows[s] for k, s in zip(candidates, columns) if s in rows}
 
 
-def quantum_test(
-    x: Word,
-    epsilon: float,
-    rng: random.Random,
-    grover_config: GroverConfig = DEFAULT_GROVER_CONFIG,
-) -> Verdict:
+def quantum_test(x: Word, epsilon: float, rng: random.Random) -> Verdict:
     """Sublinear tester: cube-root grids, a table of row fingerprints,
     simulated Grover search over the column grid.
 
@@ -216,12 +205,7 @@ def quantum_test(
     rows = _build_left_table(x, grids, sample, ledger)
     hits = _column_hits(x, grids.j_set, sample, rows, ledger)
     outcome = search_solutions(
-        len(grids.j_set),
-        list(hits),
-        rng,
-        cost_per_call=sample.m,
-        ledger=ledger,
-        config=grover_config,
+        len(grids.j_set), list(hits), rng, cost_per_call=sample.m, ledger=ledger
     )
     found_pair = None
     if outcome.found is not None:

@@ -21,6 +21,12 @@ import numpy as np
 from .ledger import QueryLedger
 
 
+def check_even_length(n: int) -> None:
+    """Reject a length no two-palindrome word has: members are even and >= 4."""
+    if n < 4 or n % 2:
+        raise ValueError(f"length must be even and >= 4, got n={n}")
+
+
 @dataclass(frozen=True)
 class Word:
     """Immutable sequence of symbol codes, binary by default.
@@ -58,7 +64,10 @@ class Word:
         return cls(codes, alphabet_size)
 
     def text(self) -> str:
-        """ASCII digit serialization, the inverse of from_text."""
+        """ASCII digit serialization, the inverse of from_text; only symbols
+        below 10 have a one-digit form, so any other raises ValueError."""
+        if self.symbols and max(self.symbols) >= 10:
+            raise ValueError("text() needs every symbol below 10")
         return "".join(str(c) for c in self.symbols)
 
 

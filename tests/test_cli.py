@@ -1,7 +1,9 @@
 import json
+import random
 
 import pytest
 
+from twopal import exact_member, gen_member
 from twopal.cli import main
 
 
@@ -79,6 +81,30 @@ def test_test_subcommand_reads_word_from_file(tmp_path, capsys):
     assert main(["test", str(path), "--epsilon", "0.3", "--mode", "classical"]) == 0
     row = json.loads(capsys.readouterr().out.strip())
     assert row["accept"] is True
+
+
+def test_member_and_distance_read_word_from_file(tmp_path, capsys):
+    # 2^18 symbols: twice what one argv string may hold on Linux
+    word = gen_member(1000, 2**17 - 1000, random.Random(18))
+    path = tmp_path / "word.txt"
+    path.write_text(word.text() + "\n")
+    witness = exact_member(word).witness
+    assert main(["member", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"member": True, "half_u": witness.half_u, "half_v": witness.half_v}
+    assert witness.half_u + witness.half_v == 2**17
+    assert main(["distance", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["distance"] == 0
+
+
+def test_word_longer_than_a_file_name_is_read_as_a_word(capsys):
+    word = "0" * 300
+    assert main(["member", word]) == 0
+    assert json.loads(capsys.readouterr().out)["member"] is True
+    assert main(["distance", word]) == 0
+    assert json.loads(capsys.readouterr().out)["distance"] == 0
+    assert main(["test", word, "--epsilon", "0.3", "--mode", "classical"]) == 0
+    assert json.loads(capsys.readouterr().out)["accept"] is True
 
 
 def test_experiment_subcommand(tmp_path, capsys):
@@ -181,6 +207,27 @@ def test_experiment_out_of_range_config_is_a_usage_error(tmp_path, capsys, extra
     assert main(["experiment", "--config", str(config), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_experiment_alphabet_size_override(tmp_path):
+    raw = {"sizes": [16], "epsilons": [0.2], "trials": 4, "seed": 1, "modes": ["exact"]}
+
+    def run(extra, *flags):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**raw, **extra}))
+        out = tmp_path / "report.json"
+        argv = [*flags, "experiment", "--config", str(config), "--out", str(out)]
+        assert main([*argv, "--format", "json"]) == 0
+        return json.loads(out.read_text())
+
+    flagged = run({}, "--alphabet-size", "3")
+    from_config = run({"alphabet_size": 3})
+    assert flagged["config"]["alphabet_size"] == 3
+    assert from_config["config"]["alphabet_size"] == 3
+    assert run({})["config"]["alphabet_size"] == 2
+    assert run({"alphabet_size": 5}, "--alphabet-size", "3")["config"]["alphabet_size"] == 3
+    for a, b in zip(flagged["cells"], from_config["cells"]):
+        assert {**a, "seconds": 0} == {**b, "seconds": 0}
 
 
 def test_experiment_seed_override(tmp_path):

@@ -17,7 +17,6 @@ from twopal.experiment import (
     run_experiment,
     wilson_interval,
 )
-from twopal.grover import GroverConfig
 
 
 def small_config(**overrides):
@@ -76,7 +75,7 @@ def test_config_validation():
 
 
 def test_config_round_trip():
-    config = small_config(grover=GroverConfig(cap_multiplier=4.0))
+    config = small_config(assertions=AssertionThresholds(far_accept_max=0.2))
     rebuilt = ExperimentConfig.from_dict(config.to_dict())
     assert rebuilt == config
 
@@ -263,15 +262,20 @@ def test_load_config(tmp_path):
                 "trials": 3,
                 "seed": 9,
                 "modes": ["exact"],
-                "grover": {"cap_multiplier": 5.0},
                 "assertions": {"far_accept_max": 0.2},
             }
         )
     )
     config = load_config(path)
     assert config.sizes == (16,)
-    assert config.grover.cap_multiplier == 5.0
     assert config.assertions.far_accept_max == 0.2
+    path.write_text(
+        json.dumps(
+            {"sizes": [16], "epsilons": [0.2], "grover": {"cap_multiplier": 3.0}}
+        )
+    )
+    with pytest.raises(ValueError, match=r"unknown config keys: \['grover'\]"):
+        load_config(path)
 
 
 # --- frozen seeded report ---------------------------------------------

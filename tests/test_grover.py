@@ -5,13 +5,12 @@ import pytest
 from mpmath import mp
 
 from twopal import (
-    GroverConfig,
     QueryLedger,
     grover_search,
     round_success_probability,
     schedule_success_probability,
 )
-from twopal.grover import _iteration_cap, DEFAULT_GROVER_CONFIG, search_solutions
+from twopal.grover import _iteration_cap, search_solutions
 
 mp.dps = 50
 
@@ -51,7 +50,7 @@ def test_no_solutions_charges_full_cap():
         outcome = grover_search(
             domain, lambda i: False, random.Random(7), cost_per_call=3, ledger=ledger
         )
-        cap = _iteration_cap(domain, DEFAULT_GROVER_CONFIG)
+        cap = _iteration_cap(domain)
         assert outcome.found is None
         assert outcome.iterations_used == cap
         assert outcome.rounds == []
@@ -102,7 +101,7 @@ def test_iterations_and_charge_bounds():
             outcome = grover_search(
                 domain, lambda i: i in sols, rng, cost_per_call=5, ledger=ledger
             )
-            cap = _iteration_cap(domain, DEFAULT_GROVER_CONFIG)
+            cap = _iteration_cap(domain)
             assert outcome.iterations_used <= cap
             assert ledger.quantum_charged <= (cap + len(outcome.rounds)) * 5
             assert ledger.predicate_calls == sum(
@@ -138,10 +137,6 @@ def test_deterministic_given_seed():
 def test_domain_validation():
     with pytest.raises(ValueError):
         grover_search(0, lambda i: True, random.Random(0))
-    with pytest.raises(ValueError):
-        GroverConfig(cap_multiplier=0.0)
-    with pytest.raises(ValueError):
-        GroverConfig(growth_factor=1.0)
 
 
 def test_schedule_probability_edge_cases():

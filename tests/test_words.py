@@ -4,7 +4,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import all_words
-from twopal import QueryLedger, RotatedDoubledView, Word, random_word, reverse
+from twopal import (
+    QueryLedger,
+    RotatedDoubledView,
+    Word,
+    distance_to_language,
+    gen_sigma,
+    quantum_test,
+    random_word,
+    reverse,
+)
+from twopal.words import check_even_length
 
 
 def materialized_view(w: Word) -> bytes:
@@ -104,6 +114,31 @@ def test_word_text_round_trip():
         assert Word.from_text(text, size).text() == text
     with pytest.raises(ValueError):
         Word.from_text("01a0")
+
+
+@pytest.mark.parametrize("alphabet_size", [11, 13, 256])
+def test_word_text_refuses_symbols_without_one_digit(alphabet_size):
+    digits = Word(bytes([9, 0, 3]), alphabet_size)
+    assert Word.from_text(digits.text(), alphabet_size) == digits
+    for top in (10, alphabet_size - 1):
+        with pytest.raises(ValueError):
+            Word(bytes([0, top, 3]), alphabet_size).text()
+
+
+def test_even_length_rule_is_stated_once():
+    for n in (4, 6, 1024):
+        check_even_length(n)
+    for n in (-2, 0, 1, 2, 3, 5, 1023):
+        with pytest.raises(ValueError, match=f"even and >= 4, got n={n}$"):
+            check_even_length(n)
+    odd = Word(bytes(5))
+    for call in (
+        lambda: distance_to_language(odd),
+        lambda: gen_sigma(5),
+        lambda: quantum_test(odd, 0.3, random.Random(0)),
+    ):
+        with pytest.raises(ValueError, match="^length must be even and >= 4, got n=5$"):
+            call()
 
 
 def test_random_word_deterministic_per_seed():
