@@ -14,7 +14,9 @@ excepted).
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -66,8 +68,12 @@ class AssertionThresholds:
     far_accept_max: float = 0.30
 
     def __post_init__(self) -> None:
-        _check_real("member_accept_lower_min", self.member_accept_lower_min)
-        _check_real("far_accept_max", self.far_accept_max)
+        for name in ("member_accept_lower_min", "far_accept_max"):
+            value = getattr(self, name)
+            _check_real(name, value)
+            # NaN fails both comparisons, so it is refused with the infinities
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
 @dataclass(frozen=True)
@@ -205,21 +211,10 @@ def _trial_seed(base_seed: int, cell_key: str, trial: int) -> int:
     return base_seed ^ int.from_bytes(digest, "big")
 
 
-@dataclass(frozen=True)
-class _TrialSpec:
-    n: int
-    epsilon: float
-    modes: tuple[str, ...]
-    instance_class: str
-    seed: int
-    alphabet_size: int
-    max_far_attempts: int
-
-
-def _run_mode(spec: _TrialSpec, mode: str, x, rng: random.Random) -> tuple:
+def _run_mode(mode: str, x, epsilon: float, rng: random.Random) -> tuple:
     if mode != "exact":
         tester = quantum_test if mode == "quantum" else classical_test
-        verdict = tester(x, spec.epsilon, rng)
+        verdict = tester(x, epsilon, rng)
         ledger = verdict.ledger
         return (verdict.accept, ledger.total_charged, ledger.classical_reads)
     ledger = QueryLedger()
@@ -227,91 +222,72 @@ def _run_mode(spec: _TrialSpec, mode: str, x, rng: random.Random) -> tuple:
     return (result.is_member, ledger.total_charged, ledger.classical_reads)
 
 
-def _run_trial(spec: _TrialSpec) -> list[tuple]:
-    """One seeded trial: build the instance once, then run it under every mode
-    of spec.modes, restoring the generator state saved after the build before
-    each one. Returns one (outcome, seconds) per mode, where outcome is
+def _run_trial(config: ExperimentConfig, key: tuple) -> list[tuple]:
+    """One seeded trial, wholly described by config and key = (n, epsilon,
+    class, trial index): build the instance once, then run it under every
+    mode of config.modes, restoring the generator state saved after the build
+    before each one. Returns one (outcome, seconds) per mode, where outcome is
     (accepted, total_queries, classical_reads) or the skip reason when no far
     instance was found, and seconds is the mode's own time plus an equal share
     of the build time. Module level so worker processes can import it."""
+    n, epsilon, cls_, trial = key
+    modes = config.modes
     start = time.perf_counter()
-    rng = random.Random(spec.seed)
+    # the cell key omits the mode: one trial runs its instance under every mode
+    rng = random.Random(_trial_seed(config.seed, f"{n}:{epsilon!r}:{cls_}", trial))
     try:
-        if spec.instance_class == "member":
-            half_u = rng.randint(1, spec.n // 2 - 1)
-            x = gen_member(half_u, spec.n // 2 - half_u, rng, spec.alphabet_size)
+        if cls_ == "member":
+            half_u = rng.randint(1, n // 2 - 1)
+            x = gen_member(half_u, n // 2 - half_u, rng, config.alphabet_size)
         else:
-            x = gen_far(
-                spec.n, spec.epsilon, rng, spec.max_far_attempts, spec.alphabet_size
-            )
+            x = gen_far(n, epsilon, rng, config.max_far_attempts, config.alphabet_size)
     except FarInstanceError as exc:
-        share = (time.perf_counter() - start) / len(spec.modes)
-        return [(str(exc), share)] * len(spec.modes)
+        share = (time.perf_counter() - start) / len(modes)
+        return [(str(exc), share)] * len(modes)
     state = rng.getstate()
-    share = (time.perf_counter() - start) / len(spec.modes)
+    share = (time.perf_counter() - start) / len(modes)
     results = []
-    for mode in spec.modes:
+    for mode in modes:
         rng.setstate(state)
         start = time.perf_counter()
-        outcome = _run_mode(spec, mode, x, rng)
+        outcome = _run_mode(mode, x, epsilon, rng)
         results.append((outcome, share + time.perf_counter() - start))
     return results
-
-
-def _cell_specs(
-    config: ExperimentConfig, n: int, epsilon: float, cls_: str, count: int
-) -> list[_TrialSpec]:
-    # the cell key omits the mode: one trial runs its instance under every mode
-    cell_key = f"{n}:{epsilon!r}:{cls_}"
-    return [
-        _TrialSpec(
-            n=n,
-            epsilon=epsilon,
-            modes=config.modes,
-            instance_class=cls_,
-            seed=_trial_seed(config.seed, cell_key, trial),
-            alphabet_size=config.alphabet_size,
-            max_far_attempts=config.max_far_attempts,
-        )
-        for trial in range(count)
-    ]
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run every (size, epsilon, mode, class) cell and aggregate ledgers.
 
-    One trial per (size, epsilon, class, trial index) covers every mode; all
-    trials are mapped in one pass, serially or through a process pool, and
-    cells are then listed by size, epsilon, mode and class. A cell's seconds
-    sum its trials' per-mode seconds (see _run_trial), so over a serial run
-    the cells add up to the wall time.
+    A trial is (config, key) with key = (n, epsilon, class, trial index) and
+    covers every mode (see _run_trial); all keys are mapped in one pass,
+    serially or through a process pool. Outcomes are grouped by (n, epsilon,
+    mode, class), and cells are listed by size, epsilon, mode and class. A
+    cell's seconds sum its trials' per-mode seconds, so over a serial run the
+    cells add up to the wall time.
     A cell whose far-instance sampling exhausts its budget is reported with
     trials=0 and a skip reason instead of failing the sweep.
     """
-    classes = config.class_trials()
-    specs = [
-        spec
+    class_trials = config.class_trials()
+    keys = [
+        (n, epsilon, cls_, trial)
         for n in config.sizes
         for epsilon in config.epsilons
-        for cls_, count in classes
-        for spec in _cell_specs(config, n, epsilon, cls_, count)
+        for cls_, count in class_trials
+        for trial in range(count)
     ]
+    run = functools.partial(_run_trial, config)
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_run_trial, specs))
+            results = list(pool.map(run, keys))
     else:
-        results = [_run_trial(s) for s in specs]
-    pending = iter(results)
-    cells: list[CellResult] = []
-    for n in config.sizes:
-        for epsilon in config.epsilons:
-            by_class = [
-                (cls_, [next(pending) for _ in range(count)]) for cls_, count in classes
-            ]
-            for k, mode in enumerate(config.modes):
-                for cls_, trials in by_class:
-                    outcomes = [trial[k] for trial in trials]
-                    cells.append(_aggregate(n, epsilon, mode, cls_, outcomes))
+        results = list(map(run, keys))
+    outcomes: dict[tuple, list] = {}
+    for (n, epsilon, cls_, _), per_mode in zip(keys, results):
+        for mode, outcome in zip(config.modes, per_mode):
+            outcomes.setdefault((n, epsilon, mode, cls_), []).append(outcome)
+    classes = [cls_ for cls_, _ in class_trials]
+    order = itertools.product(config.sizes, config.epsilons, config.modes, classes)
+    cells = [_aggregate(*cell, outcomes[cell]) for cell in order]
     return ExperimentReport(config=config, cells=cells)
 
 

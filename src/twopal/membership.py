@@ -46,23 +46,19 @@ def _failure_function(pattern: Sequence[int]) -> list[int]:
     return fail
 
 
-def kmp_occurrences(
-    pattern: Sequence[int], text: Sequence[int], text_len: Optional[int] = None
-) -> Iterator[int]:
+def kmp_occurrences(pattern: Sequence[int], text: Sequence[int]) -> Iterator[int]:
     """Yield every start index of pattern in text, in increasing order.
 
     text only needs indexed access; each position is read exactly once, so a
     virtual sequence (such as RotatedDoubledView) works without being
-    materialized. Total work is O(text_len + pattern length).
+    materialized. Total work is O(len(text) + len(pattern)).
     """
     m = len(pattern)
     if m == 0:
         raise ValueError("empty pattern")
-    if text_len is None:
-        text_len = len(text)
     fail = _failure_function(pattern)
     q = 0
-    for i in range(text_len):
+    for i in range(len(text)):
         c = text[i]
         while q and pattern[q] != c:
             q = fail[q - 1]
@@ -73,11 +69,9 @@ def kmp_occurrences(
             q = fail[q - 1]
 
 
-def kmp_search(
-    pattern: Sequence[int], text: Sequence[int], text_len: Optional[int] = None
-) -> Optional[int]:
+def kmp_search(pattern: Sequence[int], text: Sequence[int]) -> Optional[int]:
     """Smallest start index of pattern in text, or None."""
-    return next(kmp_occurrences(pattern, text, text_len), None)
+    return next(kmp_occurrences(pattern, text), None)
 
 
 def brute_force_member(x: Word) -> MembershipResult:
@@ -116,7 +110,7 @@ def kmp_member(x: Word, ledger: Optional[QueryLedger] = None) -> MembershipResul
         ledger.read_classical(n)
     pattern = x.symbols[::-1]
     view = RotatedDoubledView(x, ledger)
-    for i in kmp_occurrences(pattern, view, 2 * n - 2):
+    for i in kmp_occurrences(pattern, view):
         if i % 2 == 1 and i <= n - 3:
             return MembershipResult(True, Decomposition((i + 1) // 2, (n - i - 1) // 2))
     return MembershipResult(False)

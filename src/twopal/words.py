@@ -27,6 +27,11 @@ def check_even_length(n: int) -> None:
         raise ValueError(f"length must be even and >= 4, got n={n}")
 
 
+# ASCII digit <-> symbol code, for codes 0..9
+_FROM_DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))
+_TO_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
 @dataclass(frozen=True)
 class Word:
     """Immutable sequence of symbol codes, binary by default.
@@ -57,18 +62,17 @@ class Word:
     @classmethod
     def from_text(cls, text: str, alphabet_size: int = 2) -> "Word":
         """Parse an ASCII digit string such as "0110"."""
-        try:
-            codes = bytes(int(c) for c in text)
-        except ValueError:
-            raise ValueError(f"word text must be digits, got {text!r}") from None
-        return cls(codes, alphabet_size)
+        # str.isdigit alone would accept non-ASCII digits such as "\u0661"
+        if not text.isascii() or (text and not text.isdigit()):
+            raise ValueError(f"word text must be digits, got {text!r}")
+        return cls(text.encode("ascii").translate(_FROM_DIGITS), alphabet_size)
 
     def text(self) -> str:
         """ASCII digit serialization, the inverse of from_text; only symbols
         below 10 have a one-digit form, so any other raises ValueError."""
-        if self.symbols and max(self.symbols) >= 10:
+        if self.symbols and np.frombuffer(self.symbols, dtype=np.uint8).max() >= 10:
             raise ValueError("text() needs every symbol below 10")
-        return "".join(str(c) for c in self.symbols)
+        return self.symbols.translate(_TO_DIGITS).decode("ascii")
 
 
 def reverse(w: Word) -> Word:

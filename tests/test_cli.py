@@ -35,6 +35,13 @@ def test_bad_word_is_a_usage_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("command", ["member", "distance", "test"])
+def test_non_ascii_digits_are_a_usage_error(command, capsys):
+    epsilon = ["--epsilon", "0.3"] if command == "test" else []
+    assert main([command, "\u0660\u0661\u0661\u0660", *epsilon]) == 2
+    assert "word text must be digits" in capsys.readouterr().err
+
 def test_test_subcommand_json_lines(capsys):
     code = main(
         ["test", "0110100110100110", "--epsilon", "0.3", "--seed", "3", "--trials", "2"]
@@ -184,6 +191,9 @@ def test_experiment_malformed_config_is_a_usage_error(tmp_path, capsys, raw):
         {"epsilons": [0.2, 0.1, 0.2]},
         {"modes": []},
         {"modes": ["quantum", "quantum"]},
+        {"assertions": {"far_accept_max": float("nan")}},
+        {"assertions": {"member_accept_lower_min": float("nan")}},
+        {"assertions": {"far_accept_max": -1}},
     ],
     ids=[
         "alphabet-zero",
@@ -197,6 +207,9 @@ def test_experiment_malformed_config_is_a_usage_error(tmp_path, capsys, raw):
         "epsilons-repeated",
         "modes-empty",
         "modes-repeated",
+        "far-max-nan",
+        "member-min-nan",
+        "far-max-negative",
     ],
 )
 def test_experiment_out_of_range_config_is_a_usage_error(tmp_path, capsys, extra):

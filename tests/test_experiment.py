@@ -74,6 +74,16 @@ def test_config_validation():
         ExperimentConfig.from_dict({"sizes": [8], "epsilons": 0.1})
 
 
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, 1.5])
+@pytest.mark.parametrize("name", ["member_accept_lower_min", "far_accept_max"])
+def test_assertion_thresholds_lie_in_unit_interval(name, value):
+    # a NaN threshold made --assert pass every cell, -1 fail every far cell
+    with pytest.raises(ValueError, match=name):
+        AssertionThresholds(**{name: value})
+    for edge in (0.0, 1.0):
+        assert getattr(AssertionThresholds(**{name: edge}), name) == edge
+
 def test_config_round_trip():
     config = small_config(assertions=AssertionThresholds(far_accept_max=0.2))
     rebuilt = ExperimentConfig.from_dict(config.to_dict())
@@ -145,6 +155,29 @@ def test_run_experiment_cells_and_determinism():
         assert a.mean_queries == b.mean_queries
         assert a.max_queries == b.max_queries
 
+
+
+@pytest.mark.parametrize(
+    "member_fraction, classes",
+    [(0.0, ["far"]), (0.5, ["member", "far"]), (1.0, ["member"])],
+)
+def test_cells_follow_sizes_epsilons_modes_classes(member_fraction, classes):
+    modes = ("exact", "quantum")  # not MODES order
+    config = small_config(
+        sizes=(64, 16),
+        epsilons=(0.2, 0.1),
+        modes=modes,
+        trials=4,
+        member_fraction=member_fraction,
+    )
+    report = run_experiment(config)
+    assert [(c.n, c.epsilon, c.mode, c.instance_class) for c in report.cells] == [
+        (n, epsilon, mode, cls_)
+        for n in (64, 16)
+        for epsilon in (0.2, 0.1)
+        for mode in modes
+        for cls_ in classes
+    ]
 
 def test_exact_mode_is_perfectly_separating():
     report = run_experiment(small_config(modes=("exact",), trials=10))

@@ -32,8 +32,8 @@ def test_kmp_frozen_examples():
     x = Word.from_text("01101001")
     view = RotatedDoubledView(x)
     assert bytes(view[i] for i in range(14)) == Word.from_text("11010010110100").symbols
-    assert kmp_search(Word.from_text("1001").symbols, view, 14) == 3
-    assert kmp_search(reverse(x).symbols, view, 14) == 3
+    assert kmp_search(Word.from_text("1001").symbols, view) == 3
+    assert kmp_search(reverse(x).symbols, view) == 3
 
 
 def test_kmp_empty_pattern_rejected():
@@ -76,7 +76,7 @@ def test_reverse_occurrences_cannot_start_late():
     for n in range(4, 13, 2):
         for w in all_words(n):
             view = RotatedDoubledView(w)
-            for pos in kmp_occurrences(reverse(w).symbols, view, 2 * n - 2):
+            for pos in kmp_occurrences(reverse(w).symbols, view):
                 assert pos <= n - 2
 
 

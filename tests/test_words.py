@@ -1,5 +1,7 @@
 import random
+import time
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -115,6 +117,33 @@ def test_word_text_round_trip():
     with pytest.raises(ValueError):
         Word.from_text("01a0")
 
+
+
+@pytest.mark.parametrize("alphabet_size", [2, 3, 10])
+def test_word_text_is_one_digit_per_symbol(alphabet_size):
+    rng = random.Random(alphabet_size)
+    for n in (0, 1, 7, 1000):
+        symbols = bytes(rng.randrange(alphabet_size) for _ in range(n))
+        text = Word(symbols, alphabet_size).text()
+        assert text == "".join(str(c) for c in symbols)
+        assert Word.from_text(text, alphabet_size).symbols == symbols
+
+
+@pytest.mark.parametrize(
+    "text", ["0\u0661", "\u0660\u0661\u0661\u0660", "\uff10\uff11", "01\u00b2"]
+)
+def test_word_text_rejects_non_ascii_digits(text):
+    with pytest.raises(ValueError, match="word text must be digits"):
+        Word.from_text(text, 10)
+
+
+def test_word_text_round_trip_is_linear_time():
+    rng = np.random.default_rng(3)
+    word = Word(rng.integers(0, 2, 1 << 22, dtype=np.uint8).tobytes())
+    start = time.perf_counter()
+    assert Word.from_text(word.text()) == word
+    # per-symbol Python parsing and joining took about 2.4 s here
+    assert time.perf_counter() - start < 1.0
 
 @pytest.mark.parametrize("alphabet_size", [11, 13, 256])
 def test_word_text_refuses_symbols_without_one_digit(alphabet_size):
