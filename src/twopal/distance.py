@@ -10,13 +10,24 @@ even-position indicators with the odd-position ones, per symbol, therefore
 counts the equal pairs of every split at once in O(n log n). In each half the
 indicators of the present symbols sum to the all-ones vector, so the last
 symbol's two spectra are derived from the others' instead of transformed: a
-binary word takes two half-length forward transforms and one inverse. The
-quadratic split scan is kept only as the reference the tests compare against.
+binary word takes two half-length forward transforms and one inverse.
+Away from index 0 the derived spectra are minus the sum of the others', so a
+binary word's product spectrum is 2 * E * O there; index 0 is the exact
+integer sum over symbols of count_even * count_odd.
+
+The transforms run in a per-thread workspace of two float64 buffers sized
+for the last half-length served. Each holds one half's indicator, and its
+spectrum is written over it through a complex view; the product is formed
+in place and the inverse transform writes into the other buffer. A binary
+word therefore allocates nothing of size n/2 per call beyond the copy numpy
+makes of a transform's input when the output overlaps it. The quadratic
+split scan is kept only as the reference the tests compare against.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,33 +79,81 @@ def _distance_baseline(x: Word) -> DistanceResult:
     return DistanceResult(best, Decomposition(best_a, n // 2 - best_a))
 
 
+_workspace = threading.local()
+
+
+def _buffers(h: int) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's two buffers for half-length h, each large enough for h
+    reals or the h // 2 + 1 values of their spectrum."""
+    if getattr(_workspace, "h", None) != h:
+        size = 2 * (h // 2 + 1)
+        _workspace.buffers = (np.empty(size), np.empty(size))
+        _workspace.h = h
+    return _workspace.buffers
+
+
+def _indicator(half: np.ndarray, sym: int, buf: np.ndarray) -> tuple[np.ndarray, int]:
+    """Write half == sym as floats into buf's first len(half) values; return
+    that view and its count."""
+    ind = np.equal(half, sym, out=buf[: half.size])
+    return ind, int(ind.sum())
+
+
+def _spectrum(ind: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """rfft of the indicator held in buf, written over it."""
+    return np.fft.rfft(ind, out=buf.view(np.complex128))
+
+
 def _distance_fast(x: Word) -> DistanceResult:
     n = x.n
     h = n // 2
     arr = np.frombuffer(x.symbols, dtype=np.uint8)
     even, odd = arr[0::2], arr[1::2]
-    present = [sym for sym in range(x.alphabet_size) if (arr == sym).any()]
+    lo, hi = int(arr.min()), int(arr.max())
+    if lo == hi:
+        # every mirror pair is equal
+        return DistanceResult(0, Decomposition(1, h - 1))
+    buf_even, buf_odd = _buffers(h)
     # split a pairs even index 2*alpha with odd index 2*beta + 1 exactly when
-    # alpha + beta = a - 1 (mod h): a length-h cyclic convolution per symbol
-    power = np.zeros(h // 2 + 1, dtype=np.complex128)
-    # each half's indicators sum to all ones, whose spectrum is h at index 0
-    # and 0 elsewhere, so the last present symbol's spectra are that minus
-    # the others'
-    last_even = np.zeros(h // 2 + 1, dtype=np.complex128)
-    last_even[0] = h
-    last_odd = last_even.copy()
-    for sym in present[:-1]:
-        spec_even = np.fft.rfft(even == sym)
-        spec_odd = np.fft.rfft(odd == sym)
-        power += spec_even * spec_odd
-        last_even -= spec_even
-        last_odd -= spec_odd
-    power += last_even * last_odd
+    # alpha + beta = a - 1 (mod h): a length-h cyclic convolution per symbol.
+    # Each half's indicators sum to all ones, whose spectrum is 0 away from
+    # index 0, so the last present symbol hi is not transformed: its spectra
+    # are minus the sum of the others' there. Index 0 of the product is the
+    # number of equal pairs in any split, from the counts.
+    if hi - lo == 1:
+        ind_even, count_even = _indicator(even, lo, buf_even)
+        ind_odd, count_odd = _indicator(odd, lo, buf_odd)
+        power = _spectrum(ind_even, buf_even)
+        power *= _spectrum(ind_odd, buf_odd)
+        power *= 2
+        pairs = count_even * count_odd + (h - count_even) * (h - count_odd)
+    else:
+        power = np.zeros(h // 2 + 1, dtype=np.complex128)
+        sum_even = np.zeros_like(power)
+        sum_odd = np.zeros_like(power)
+        pairs = total_even = total_odd = 0
+        for sym in range(lo, hi):
+            ind_even, count_even = _indicator(even, sym, buf_even)
+            ind_odd, count_odd = _indicator(odd, sym, buf_odd)
+            if count_even + count_odd == 0:
+                continue
+            spec_even = _spectrum(ind_even, buf_even)
+            spec_odd = _spectrum(ind_odd, buf_odd)
+            power += spec_even * spec_odd
+            sum_even += spec_even
+            sum_odd += spec_odd
+            pairs += count_even * count_odd
+            total_even += count_even
+            total_odd += count_odd
+        power += sum_even * sum_odd
+        pairs += (h - total_even) * (h - total_odd)
+    power[0] = pairs
     # each split has h mirror pairs; residue a - 1 counts its equal ones
-    equal = np.rint(np.fft.irfft(power, h)[: h - 1]).astype(np.int64)
-    per_split = h - equal
-    a = int(np.argmin(per_split)) + 1
-    return DistanceResult(int(per_split[a - 1]), Decomposition(a, h - a))
+    equal = np.fft.irfft(power, h, out=buf_odd[:h])
+    np.rint(equal, out=equal)
+    # argmax returns the first maximum: the smallest |u| among the best splits
+    a = int(np.argmax(equal[: h - 1])) + 1
+    return DistanceResult(h - int(equal[a - 1]), Decomposition(a, h - a))
 
 
 def distance_to_language(x: Word, method: str = "auto") -> DistanceResult:

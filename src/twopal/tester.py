@@ -87,9 +87,25 @@ def offset_count(n: int, epsilon: float) -> int:
 
 
 def sample_offsets(n: int, epsilon: float, rng: random.Random) -> OffsetSample:
-    """Draw m shifts uniformly with replacement from [0, n)."""
+    """Draw m shifts uniformly with replacement from [0, n).
+
+    The shifts, and the state rng is left in, are exactly those of m calls
+    rng.randrange(n) for n < 2^32. Each such call keeps the top
+    n.bit_length() bits of one 32-bit generator output and retries while
+    they are >= n. Here the missing shifts are drawn as one batch of 32-bit
+    outputs, one per missing shift, and filtered the same way; a batch never
+    yields more shifts than are missing, so no output is drawn that
+    randrange would not have drawn.
+    """
     m = offset_count(n, epsilon)
-    return OffsetSample(tuple(rng.randrange(n) for _ in range(m)))
+    shift = 32 - n.bit_length()
+    offsets: list[int] = []
+    while len(offsets) < m:
+        need = m - len(offsets)
+        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        draws = np.frombuffer(words, dtype="<u4") >> shift
+        offsets += draws[draws < n].tolist()
+    return OffsetSample(tuple(offsets))
 
 
 def cube_grids(n: int) -> IndexGrids:

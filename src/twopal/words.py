@@ -64,7 +64,11 @@ class Word:
         """Parse an ASCII digit string such as "0110"."""
         # str.isdigit alone would accept non-ASCII digits such as "\u0661"
         if not text.isascii() or (text and not text.isdigit()):
-            raise ValueError(f"word text must be digits, got {text!r}")
+            # quote the first offender only: the text may be megabytes long
+            i = len(text) - len(text.lstrip("0123456789"))
+            raise ValueError(
+                f"word text must be digits, got {text[i]!r} at index {i}"
+            )
         return cls(text.encode("ascii").translate(_FROM_DIGITS), alphabet_size)
 
     def text(self) -> str:

@@ -42,6 +42,15 @@ def test_non_ascii_digits_are_a_usage_error(command, capsys):
     assert main([command, "\u0660\u0661\u0661\u0660", *epsilon]) == 2
     assert "word text must be digits" in capsys.readouterr().err
 
+def test_bad_symbol_in_a_large_file_gives_a_short_error(tmp_path, capsys):
+    path = tmp_path / "word.txt"
+    path.write_text("0" * 2**20 + "x\n")
+    assert main(["member", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "'x' at index 1048576" in err
+    assert all(len(line.encode()) < 200 for line in err.splitlines())
+
+
 def test_test_subcommand_json_lines(capsys):
     code = main(
         ["test", "0110100110100110", "--epsilon", "0.3", "--seed", "3", "--trials", "2"]

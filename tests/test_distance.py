@@ -1,6 +1,9 @@
 import hashlib
 import math
 import random
+import threading
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from twopal import (
     random_word,
 )
 from twopal.distance import mismatched_pairs
+from twopal.experiment import ExperimentConfig, run_experiment
 
 
 def test_frozen_examples():
@@ -256,3 +260,99 @@ def test_distance_never_exceeds_half_length():
     for _ in range(300):
         n = 2 * rng.randrange(2, 100)
         assert distance_to_language(random_word(n, rng)).distance <= n // 2
+
+
+# --- the per-thread workspace ------------------------------------------
+
+
+def _word_with_present(n, present, rng):
+    """A word of length n over alphabet max(present, 2) in which the first
+    min(n, present) codes all occur."""
+    alphabet_size = max(present, 2)
+    if present == 1:
+        return Word(bytes([alphabet_size - 1]) * n, alphabet_size)
+    codes = list(range(min(n, present)))
+    codes += [rng.randrange(present) for _ in range(n - len(codes))]
+    rng.shuffle(codes)
+    return Word(bytes(codes), alphabet_size)
+
+
+def _fresh_thread_distance(w):
+    """distance_to_language(w) on a new thread, whose workspace is empty."""
+    results = []
+    thread = threading.Thread(target=lambda: results.append(distance_to_language(w)))
+    thread.start()
+    thread.join()
+    return results[0]
+
+
+def test_workspace_survives_sizes_and_alphabets_going_up_and_down():
+    rng = random.Random(71)
+    for n in (4, 6, 1022, 1 << 18, 16, 2050, (1 << 18) + 2):
+        # the quadratic reference is out of reach at 2^18; there the
+        # reference is the same oracle run with an empty workspace
+        large = n > 4096
+        for present in (1, 2, 3) if large else (1, 2, 3, 256):
+            w = _word_with_present(n, present, rng)
+            fast = distance_to_language(w, "fast")
+            if large:
+                assert fast == _fresh_thread_distance(w)
+                pairs = mismatched_pairs(w, fast.best_split.half_u)
+                assert len(pairs) == fast.distance
+            else:
+                assert fast == distance_to_language(w, "baseline")
+
+
+def test_two_threads_of_different_sizes_are_both_correct():
+    rng = random.Random(73)
+    words = [
+        [random_word(n, rng, alphabet_size=k) for k in (2, 3, 2)]
+        for n in (1022, 2050)
+    ]
+    expected = [[distance_to_language(w, "baseline") for w in ws] for ws in words]
+    start = threading.Barrier(2)
+    got = [[], []]
+
+    def work(slot):
+        start.wait()
+        for _ in range(40):
+            got[slot].append([distance_to_language(w) for w in words[slot]])
+
+    threads = [threading.Thread(target=work, args=(slot,)) for slot in (0, 1)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for slot in (0, 1):
+        assert got[slot] == [expected[slot]] * 40
+
+
+def test_workers_after_a_large_parent_call_give_the_serial_report():
+    distance_to_language(random_word(1 << 18, random.Random(79)))
+    config = ExperimentConfig(
+        sizes=(16, 64),
+        epsilons=(0.2,),
+        trials=6,
+        seed=83,
+        modes=("quantum", "classical", "exact"),
+    )
+
+    def cells(report):
+        return [replace(cell, seconds=0.0) for cell in report.cells]
+
+    serial = run_experiment(config)
+    assert cells(run_experiment(replace(config, workers=2))) == cells(serial)
+
+
+def test_repeat_binary_call_traces_at_most_5n_bytes():
+    n = 1 << 18
+    w = random_word(n, random.Random(89))
+    expected = distance_to_language(w)
+    tracemalloc.start()
+    try:
+        result = distance_to_language(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == expected
+    assert peak <= 5 * n

@@ -108,6 +108,17 @@ def test_sample_offsets_shape():
     assert all(0 <= p < 1024 for p in sample.offsets)
 
 
+@pytest.mark.parametrize("n", [4, 6, 16, 514, 1000, 1024, 1 << 21])
+def test_sample_offsets_reproduces_randrange_stream_and_state(n):
+    for seed in range(200):
+        epsilon = (0.1, 0.3, 0.7)[seed % 3]
+        batched, reference = random.Random(seed), random.Random(seed)
+        sample = sample_offsets(n, epsilon, batched)
+        m = offset_count(n, epsilon)
+        assert sample.offsets == tuple(reference.randrange(n) for _ in range(m))
+        assert batched.getstate() == reference.getstate()
+
+
 def test_fingerprint_frozen_examples():
     x = Word.from_text("01101001")
     assert left_string(x, 1, OffsetSample((1, 2))) == bytes([0, 1])
