@@ -15,13 +15,34 @@ Away from index 0 the derived spectra are minus the sum of the others', so a
 binary word's product spectrum is 2 * E * O there; index 0 is the exact
 integer sum over symbols of count_even * count_odd.
 
-The transforms run in a per-thread workspace of two float64 buffers sized
-for the last half-length served. Each holds one half's indicator, and its
-spectrum is written over it through a complex view; the product is formed
-in place and the inverse transform writes into the other buffer. A binary
-word therefore allocates nothing of size n/2 per call beyond the copy numpy
-makes of a transform's input when the output overlaps it. The quadratic
-split scan is kept only as the reference the tests compare against.
+Half-lengths above BLOCK_CUTOVER run each transform blocked, as a four-step
+FFT (Bailey, "FFTs in external or hierarchical memory", 1990) on the
+h = N1 x N2 reshape of the sequence, N1 being h's largest divisor not above
+sqrt(h) (1024 x 1024 at n = 2^21): a length-N1 rfft down axis 0, one
+multiply by the twiddles W_h^(k1 * j) and a complex length-N2 fft along
+axis 1, so every transform is short enough to stay in cache. The spectrum
+is left in the permuted order, position [k1, k2] holding frequency
+k1 + N1 * k2, because the convolution only multiplies spectra pointwise;
+the inverse runs the same steps backwards (ifft along axis 1, the conjugate
+twiddles, an irfft down axis 0), which lands the result in natural order,
+so no transpose is ever made. Rows k1 <= N1 / 2 hold every frequency, row
+N1 - k1 being row k1 conjugated and reversed. Index 0 is position [0, 0].
+The twiddles are kept factored: with j = c + C * d, one table over (k1, c)
+and one over (k1, d), each about sqrt(N2) columns wide (0.5 MB at
+n = 2^21, against 8 MB for the full table; a prime N2 leaves C = 1 and the
+second table full). At or below the cutover, or when h has no
+divisor between 2 and sqrt(h), the shape is (h, 1): one plain rfft and one
+irfft, with no twiddles.
+
+The transforms run in a per-thread workspace of two float64 buffers, the
+twiddles and the views of both, kept for the last half-length served. Each
+buffer holds one half's indicator, and its spectrum is written over it
+through a complex view; the product is formed in place and the inverse
+writes into the other buffer (blocked, its last step writes back into the
+first). A binary word therefore allocates nothing of size n/2 per call
+beyond the copy numpy makes of a forward transform's input when the output
+overlaps it. The quadratic split scan is kept only as the reference the
+tests compare against.
 """
 
 from __future__ import annotations
@@ -79,29 +100,111 @@ def _distance_baseline(x: Word) -> DistanceResult:
     return DistanceResult(best, Decomposition(best_a, n // 2 - best_a))
 
 
+# half-lengths above this run as blocked four-step transforms (_block_shape)
+BLOCK_CUTOVER = 2**14
+
+
+def _root_divisor(m: int) -> int:
+    """The largest divisor of m not above sqrt(m); 1 when m is 1 or prime."""
+    for d in range(math.isqrt(m), 1, -1):
+        if m % d == 0:
+            return d
+    return 1
+
+
+def _block_shape(h: int) -> tuple[int, int]:
+    """(N1, N2) with N1 * N2 = h: N1 is h's largest divisor not above
+    sqrt(h) when h exceeds BLOCK_CUTOVER and has one, else the shape is
+    (h, 1), a single transform."""
+    n1 = _root_divisor(h) if h > BLOCK_CUTOVER else 1
+    return (n1, h // n1) if n1 > 1 else (h, 1)
+
+
+def _twiddles(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
+    """W_h^(k1 * j) for rows k1 <= N1 / 2 and columns j < N2, in factored
+    form: with j = c + C * d, a (rows, 1, C) table of W_h^(k1 * c) and a
+    (rows, D, 1) table of W_h^(k1 * C * d), so that both broadcast over a
+    (rows, D, C) view of the spectrum."""
+    h = n1 * n2
+    k1 = np.arange(n1 // 2 + 1).reshape(-1, 1, 1)
+    c = _root_divisor(n2)
+    low = k1 * np.arange(c).reshape(1, 1, -1)
+    high = k1 * (c * np.arange(n2 // c)).reshape(1, -1, 1)
+    return np.exp(-2j * np.pi / h * low), np.exp(-2j * np.pi / h * high)
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """This thread's transforms for one half-length h: the blocked shape,
+    views of the two workspace buffers (each buffer's first h reals and the
+    whole buffer as one spectrum, of (N1 // 2 + 1) x N2 complex values) and
+    the twiddle tables, none for the (h, 1) shape, where the views are flat."""
+
+    h: int
+    shape: tuple[int, int]
+    reals: tuple[np.ndarray, np.ndarray]
+    spectra: tuple[np.ndarray, np.ndarray]
+    twiddles: tuple[np.ndarray, ...]
+
+
 _workspace = threading.local()
 
 
-def _buffers(h: int) -> tuple[np.ndarray, np.ndarray]:
-    """This thread's two buffers for half-length h, each large enough for h
-    reals or the h // 2 + 1 values of their spectrum."""
-    if getattr(_workspace, "h", None) != h:
-        size = 2 * (h // 2 + 1)
-        _workspace.buffers = (np.empty(size), np.empty(size))
-        _workspace.h = h
-    return _workspace.buffers
+def _plan(h: int) -> _Plan:
+    """This thread's plan for half-length h, kept until another h is served."""
+    plan = getattr(_workspace, "plan", None)
+    if plan is None or plan.h != h:
+        n1, n2 = _block_shape(h)
+        rows = n1 // 2 + 1
+        buffers = (np.empty(2 * rows * n2), np.empty(2 * rows * n2))
+        spectra = tuple(buf.view(np.complex128) for buf in buffers)
+        twiddles = ()
+        if n2 > 1:
+            spectra = tuple(spec.reshape(rows, n2) for spec in spectra)
+            twiddles = _twiddles(n1, n2)
+        plan = _Plan(h, (n1, n2), tuple(buf[:h] for buf in buffers), spectra, twiddles)
+        _workspace.plan = plan
+    return plan
 
 
-def _indicator(half: np.ndarray, sym: int, buf: np.ndarray) -> tuple[np.ndarray, int]:
-    """Write half == sym as floats into buf's first len(half) values; return
-    that view and its count."""
-    ind = np.equal(half, sym, out=buf[: half.size])
+def _indicator(half: np.ndarray, sym: int, out: np.ndarray) -> tuple[np.ndarray, int]:
+    """Write half == sym as floats into out; return it and its count."""
+    ind = np.equal(half, sym, out=out)
     return ind, int(ind.sum())
 
 
-def _spectrum(ind: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """rfft of the indicator held in buf, written over it."""
-    return np.fft.rfft(ind, out=buf.view(np.complex128))
+def _twiddle(
+    spec: np.ndarray, twiddles: tuple[np.ndarray, ...], inverse: bool = False
+) -> None:
+    """Multiply spec[k1, j] by W_h^(k1 * j), or by its conjugate, in place."""
+    view = spec.reshape(spec.shape[0], -1, twiddles[0].shape[2])
+    for table in twiddles:
+        view *= table.conj() if inverse else table
+
+
+def _spectrum(ind: np.ndarray, spec: np.ndarray, plan: _Plan) -> np.ndarray:
+    """Forward transform of ind, written into spec. Blocked, position
+    [k1, k2] of the result holds frequency k1 + N1 * k2."""
+    if not plan.twiddles:
+        return np.fft.rfft(ind, out=spec)
+    np.fft.rfft(ind.reshape(plan.shape), axis=0, out=spec)
+    _twiddle(spec, plan.twiddles)
+    return np.fft.fft(spec, axis=1, out=spec)
+
+
+def _inverse(power: np.ndarray, plan: _Plan) -> np.ndarray:
+    """The real length-h sequence whose spectrum, in _spectrum's order, is
+    power. It is written into the odd buffer's reals for the (h, 1) shape;
+    blocked, the odd buffer holds the intermediate and the even buffer's
+    reals the result."""
+    if not plan.twiddles:
+        return np.fft.irfft(power, plan.h, out=plan.reals[1])
+    n1, n2 = plan.shape
+    power = np.fft.ifft(power, axis=1, out=plan.spectra[1])
+    _twiddle(power, plan.twiddles, inverse=True)
+    equal = plan.reals[0]
+    np.fft.irfft(power, n1, axis=0, out=equal.reshape(n1, n2))
+    return equal
 
 
 def _distance_fast(x: Word) -> DistanceResult:
@@ -113,32 +216,36 @@ def _distance_fast(x: Word) -> DistanceResult:
     if lo == hi:
         # every mirror pair is equal
         return DistanceResult(0, Decomposition(1, h - 1))
-    buf_even, buf_odd = _buffers(h)
+    plan = _plan(h)
+    real_even, real_odd = plan.reals
+    spec_even, spec_odd = plan.spectra
     # split a pairs even index 2*alpha with odd index 2*beta + 1 exactly when
     # alpha + beta = a - 1 (mod h): a length-h cyclic convolution per symbol.
     # Each half's indicators sum to all ones, whose spectrum is 0 away from
     # index 0, so the last present symbol hi is not transformed: its spectra
     # are minus the sum of the others' there. Index 0 of the product is the
-    # number of equal pairs in any split, from the counts.
+    # number of equal pairs in any split, from the counts. Spectra stay in
+    # the blocked transform's permuted order, which a pointwise product
+    # does not see, and index 0 is still position [0, 0].
     if hi - lo == 1:
-        ind_even, count_even = _indicator(even, lo, buf_even)
-        ind_odd, count_odd = _indicator(odd, lo, buf_odd)
-        power = _spectrum(ind_even, buf_even)
-        power *= _spectrum(ind_odd, buf_odd)
+        ind_even, count_even = _indicator(even, lo, real_even)
+        ind_odd, count_odd = _indicator(odd, lo, real_odd)
+        power = _spectrum(ind_even, spec_even, plan)
+        power *= _spectrum(ind_odd, spec_odd, plan)
         power *= 2
         pairs = count_even * count_odd + (h - count_even) * (h - count_odd)
     else:
-        power = np.zeros(h // 2 + 1, dtype=np.complex128)
+        power = np.zeros_like(spec_even)
         sum_even = np.zeros_like(power)
         sum_odd = np.zeros_like(power)
         pairs = total_even = total_odd = 0
         for sym in range(lo, hi):
-            ind_even, count_even = _indicator(even, sym, buf_even)
-            ind_odd, count_odd = _indicator(odd, sym, buf_odd)
+            ind_even, count_even = _indicator(even, sym, real_even)
+            ind_odd, count_odd = _indicator(odd, sym, real_odd)
             if count_even + count_odd == 0:
                 continue
-            spec_even = _spectrum(ind_even, buf_even)
-            spec_odd = _spectrum(ind_odd, buf_odd)
+            _spectrum(ind_even, spec_even, plan)
+            _spectrum(ind_odd, spec_odd, plan)
             power += spec_even * spec_odd
             sum_even += spec_even
             sum_odd += spec_odd
@@ -147,9 +254,9 @@ def _distance_fast(x: Word) -> DistanceResult:
             total_odd += count_odd
         power += sum_even * sum_odd
         pairs += (h - total_even) * (h - total_odd)
-    power[0] = pairs
+    power.flat[0] = pairs
     # each split has h mirror pairs; residue a - 1 counts its equal ones
-    equal = np.fft.irfft(power, h, out=buf_odd[:h])
+    equal = _inverse(power, plan)
     np.rint(equal, out=equal)
     # argmax returns the first maximum: the smallest |u| among the best splits
     a = int(np.argmax(equal[: h - 1])) + 1

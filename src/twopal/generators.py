@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from .distance import distance_to_language, far_threshold
 from .words import Word, check_even_length
 
@@ -19,6 +21,27 @@ _TRANSLATE_TABLES = {}
 
 class FarInstanceError(RuntimeError):
     """No far instance found within the attempt budget."""
+
+
+def _randbelow(rng: random.Random, bound: int, count: int) -> np.ndarray:
+    """count draws of rng.randrange(bound), for 1 <= bound < 2^32: the same
+    values, and rng is left in the same state.
+
+    Each randrange(bound) call keeps the top bound.bit_length() bits of one
+    32-bit generator output and retries while they are >= bound. Here the
+    outputs are drawn in batches, one per missing value, and filtered the
+    same way; a batch never yields more values than are missing, so no
+    output is drawn that randrange would not have drawn.
+    """
+    shift = 32 - bound.bit_length()
+    kept = [np.empty(0, dtype=np.uint32)]
+    missing = count
+    while missing:
+        words = rng.getrandbits(32 * missing).to_bytes(4 * missing, "little")
+        draws = np.frombuffer(words, dtype="<u4") >> shift
+        kept.append(draws[draws < bound])
+        missing -= kept[-1].size
+    return np.concatenate(kept)
 
 
 def random_word(n: int, rng: random.Random, alphabet_size: int = 2) -> Word:
@@ -31,7 +54,8 @@ def random_word(n: int, rng: random.Random, alphabet_size: int = 2) -> Word:
             table = bytes(b % alphabet_size for b in range(256))
             _TRANSLATE_TABLES[alphabet_size] = table
         return Word(rng.randbytes(n).translate(table), alphabet_size)
-    return Word(bytes(rng.randrange(alphabet_size) for _ in range(n)), alphabet_size)
+    symbols = _randbelow(rng, alphabet_size, n).astype(np.uint8)
+    return Word(symbols.tobytes(), alphabet_size)
 
 
 def gen_member(

@@ -34,6 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .generators import _randbelow
 from .grover import RoundTrace, search_solutions
 from .ledger import QueryLedger
 from .words import Word, check_even_length
@@ -90,22 +91,10 @@ def sample_offsets(n: int, epsilon: float, rng: random.Random) -> OffsetSample:
     """Draw m shifts uniformly with replacement from [0, n).
 
     The shifts, and the state rng is left in, are exactly those of m calls
-    rng.randrange(n) for n < 2^32. Each such call keeps the top
-    n.bit_length() bits of one 32-bit generator output and retries while
-    they are >= n. Here the missing shifts are drawn as one batch of 32-bit
-    outputs, one per missing shift, and filtered the same way; a batch never
-    yields more shifts than are missing, so no output is drawn that
-    randrange would not have drawn.
+    rng.randrange(n) for n < 2^32 (see generators._randbelow).
     """
     m = offset_count(n, epsilon)
-    shift = 32 - n.bit_length()
-    offsets: list[int] = []
-    while len(offsets) < m:
-        need = m - len(offsets)
-        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
-        draws = np.frombuffer(words, dtype="<u4") >> shift
-        offsets += draws[draws < n].tolist()
-    return OffsetSample(tuple(offsets))
+    return OffsetSample(tuple(_randbelow(rng, n, m).tolist()))
 
 
 def cube_grids(n: int) -> IndexGrids:

@@ -21,7 +21,13 @@ from twopal import (
     is_eps_far,
     random_word,
 )
-from twopal.distance import mismatched_pairs
+from twopal.distance import (
+    BLOCK_CUTOVER,
+    DistanceResult,
+    _block_shape,
+    _workspace,
+    mismatched_pairs,
+)
 from twopal.experiment import ExperimentConfig, run_experiment
 
 
@@ -119,15 +125,17 @@ def test_fast_equals_baseline_on_odd_half_lengths(n):
 
 
 def _count_transforms(monkeypatch, names=("rfft",)):
-    """Record (name, real length) of every call to the named numpy.fft
-    transforms: the input length of rfft, the output length of irfft."""
+    """Record (name, length of the transformed axis) of every call to the
+    named numpy.fft transforms: the input's length for rfft, the output's
+    (the real length) for irfft, either for fft and ifft."""
     calls = []
     for name in names:
         transform = getattr(np.fft, name)
 
         def counted(a, *args, _name=name, _transform=transform, **kwargs):
             out = _transform(a, *args, **kwargs)
-            calls.append((_name, len(a) if _name == "rfft" else len(out)))
+            axis = kwargs.get("axis", -1)
+            calls.append((_name, (a if _name == "rfft" else out).shape[axis]))
             return out
 
         monkeypatch.setattr(np.fft, name, counted)
@@ -356,3 +364,119 @@ def test_repeat_binary_call_traces_at_most_5n_bytes():
         tracemalloc.stop()
     assert result == expected
     assert peak <= 5 * n
+
+
+# --- blocked (four-step) transforms above the cutover -------------------
+
+# (half-length, blocked shape): the smallest blocked half-length, one with
+# N2 = 2 * N1 as at odd powers of two, and one with a small odd factor
+BLOCKED = [(16385, (113, 145)), (16928, (92, 184)), (3 << 13, (128, 192))]
+
+
+def test_block_shape_rule():
+    assert BLOCK_CUTOVER == 2**14
+    for h in (2, 3, 512, 1 << 14):
+        assert _block_shape(h) == (h, 1)
+    for h, shape in BLOCKED:
+        assert _block_shape(h) == shape
+    assert _block_shape(1 << 20) == (1024, 1024)
+    assert _block_shape(16411) == (16411, 1)  # prime
+    assert _block_shape(2 * 16411) == (2, 16411)
+
+
+def _words_with_absent_codes(n, rng):
+    """Words over alphabets 2, 3 and 256 in which only some codes occur."""
+    yield random_word(n, rng)
+    for alphabet_size, codes in ((3, (0, 2)), (256, (7, 8, 200))):
+        symbols = bytes(rng.choice(codes) for _ in range(n))
+        yield Word(symbols, alphabet_size)
+
+
+@pytest.mark.parametrize("h, shape", BLOCKED)
+def test_fast_equals_baseline_just_above_the_cutover(h, shape):
+    rng = random.Random(h)
+    words = list(_words_with_absent_codes(2 * h, rng))
+    if h == BLOCKED[0][0]:
+        words += _adversarial_words(2 * h)
+    for w in words:
+        assert distance_to_language(w, "fast") == distance_to_language(w, "baseline")
+
+
+def test_prime_half_length_above_the_cutover_runs_single_transforms(monkeypatch):
+    h = 16411
+    rng = random.Random(h)
+    words = [random_word(2 * h, rng), random_word(2 * h, rng, alphabet_size=3)]
+    expected = [distance_to_language(w, "baseline") for w in words]
+    calls = _count_transforms(monkeypatch, ("rfft", "irfft", "fft", "ifft"))
+    assert distance_to_language(words[0]) == expected[0]
+    assert calls == [("rfft", h)] * 2 + [("irfft", h)]
+    assert distance_to_language(words[1]) == expected[1]
+
+
+def _single_transform_distance(w):
+    """The distance from one unblocked length-h rfft per symbol and half
+    and one irfft, every symbol transformed, no workspace."""
+    arr = np.frombuffer(w.symbols, dtype=np.uint8)
+    h = w.n // 2
+    spectrum = np.zeros(h // 2 + 1, dtype=np.complex128)
+    for sym in np.unique(arr):
+        spectrum += np.fft.rfft(arr[0::2] == sym) * np.fft.rfft(arr[1::2] == sym)
+    equal = np.rint(np.fft.irfft(spectrum, h))
+    a = int(np.argmax(equal[: h - 1])) + 1
+    return DistanceResult(h - int(equal[a - 1]), Decomposition(a, h - a))
+
+
+@pytest.mark.parametrize("alphabet_size", [2, 3])
+def test_blocked_equals_single_transform_at_2_21(alphabet_size):
+    w = random_word(1 << 21, random.Random(101 + alphabet_size), alphabet_size)
+    assert distance_to_language(w) == _single_transform_distance(w)
+
+
+def test_blocked_transforms_stay_below_the_cutover_at_2_21(monkeypatch):
+    n = 1 << 21
+    rng = random.Random(103)
+    words = {k: random_word(n, rng, alphabet_size=k) for k in (2, 3)}
+    calls = _count_transforms(monkeypatch, ("rfft", "irfft", "fft", "ifft"))
+    for present, w in words.items():
+        calls.clear()
+        distance_to_language(w)
+        assert max(length for _, length in calls) <= BLOCK_CUTOVER
+        # each forward transform is one rfft and one fft: two per present
+        # symbol but the last, then one inverse
+        names = [name for name, _ in calls]
+        assert names == ["rfft", "fft"] * (2 * (present - 1)) + ["ifft", "irfft"]
+
+
+def test_factored_twiddles_stay_small_at_2_21():
+    n = 1 << 21
+    w = random_word(n, random.Random(107))
+    distance_to_language(random_word(64, random.Random(0)))  # drop the 2^21 plan
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        distance_to_language(w)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    buffers = sum(real.base.nbytes for real in _workspace.plan.reals)
+    # the full (N1/2 + 1) x N2 table would hold about n/4 complex values
+    # (8 MB); the factored pair holds 2 * 513 * 32 of them (0.5 MB)
+    assert retained - buffers < 0.04 * (n // 2) * 16
+
+
+def test_unrounded_counts_are_within_1e_6_of_integers_at_2_21(monkeypatch):
+    # the blocked path rounds each twiddle product twice; the equal-pair
+    # counts must still come out exact
+    rint = np.rint
+    margins = []
+
+    def recorded(a, *args, **kwargs):
+        margins.append(float(np.abs(a - rint(a)).max()))
+        return rint(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "rint", recorded)
+    rng = random.Random(109)
+    for alphabet_size in (2, 3):
+        distance_to_language(random_word(1 << 21, rng, alphabet_size))
+    assert len(margins) == 2
+    assert max(margins) < 1e-6

@@ -13,6 +13,7 @@ from twopal import (
     gen_gamma,
     gen_member,
     gen_sigma,
+    random_word,
 )
 
 
@@ -105,3 +106,17 @@ def test_gen_far_small_eps_always_succeeds(half_n, seed):
     n = 2 * half_n + 2
     w = gen_far(n, 1.0 / n, random.Random(seed))
     assert not exact_member(w).is_member
+
+
+@pytest.mark.parametrize("alphabet_size", [3, 5, 7, 255])
+def test_random_word_reproduces_per_symbol_randrange(alphabet_size):
+    # alphabets that do not divide 256 draw batches of 32-bit outputs; the
+    # symbols and the generator's final state are those of one randrange
+    # call per symbol
+    cases = [(n, seed) for n in (1, 2, 10, 1000, 4099) for seed in range(4)]
+    cases.append((1 << 21, alphabet_size))
+    for n, seed in cases:
+        batched, reference = random.Random(seed), random.Random(seed)
+        w = random_word(n, batched, alphabet_size)
+        assert w.symbols == bytes(reference.randrange(alphabet_size) for _ in range(n))
+        assert batched.getstate() == reference.getstate()
