@@ -36,13 +36,15 @@ irfft, with no twiddles.
 
 The transforms run in a per-thread workspace of two float64 buffers, the
 twiddles and the views of both, kept for the last half-length served. Each
-buffer holds one half's indicator, and its spectrum is written over it
-through a complex view; the product is formed in place and the inverse
-writes into the other buffer (blocked, its last step writes back into the
-first). A binary word therefore allocates nothing of size n/2 per call
-beyond the copy numpy makes of a forward transform's input when the output
-overlaps it. The quadratic split scan is kept only as the reference the
-tests compare against.
+buffer holds one half's spectrum, through a complex view. numpy copies a
+transform's input whenever its output overlaps it, so the even half's
+indicator is written into the odd buffer and transformed into the even one;
+the odd half's indicator then goes into the odd buffer and is transformed
+in place. The product is formed in place and the inverse writes into the
+odd buffer (blocked, its last step writes back into the even one). A binary
+word therefore allocates nothing of size n/2 per call beyond the one copy
+numpy makes of the odd half's input. The quadratic split scan is kept only
+as the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -217,7 +219,7 @@ def _distance_fast(x: Word) -> DistanceResult:
         # every mirror pair is equal
         return DistanceResult(0, Decomposition(1, h - 1))
     plan = _plan(h)
-    real_even, real_odd = plan.reals
+    real_odd = plan.reals[1]
     spec_even, spec_odd = plan.spectra
     # split a pairs even index 2*alpha with odd index 2*beta + 1 exactly when
     # alpha + beta = a - 1 (mod h): a length-h cyclic convolution per symbol.
@@ -226,11 +228,13 @@ def _distance_fast(x: Word) -> DistanceResult:
     # are minus the sum of the others' there. Index 0 of the product is the
     # number of equal pairs in any split, from the counts. Spectra stay in
     # the blocked transform's permuted order, which a pointwise product
-    # does not see, and index 0 is still position [0, 0].
+    # does not see, and index 0 is still position [0, 0]. Each even
+    # indicator goes through the odd buffer, so that its transform does not
+    # overlap its output and numpy makes no copy of it.
     if hi - lo == 1:
-        ind_even, count_even = _indicator(even, lo, real_even)
-        ind_odd, count_odd = _indicator(odd, lo, real_odd)
+        ind_even, count_even = _indicator(even, lo, real_odd)
         power = _spectrum(ind_even, spec_even, plan)
+        ind_odd, count_odd = _indicator(odd, lo, real_odd)
         power *= _spectrum(ind_odd, spec_odd, plan)
         power *= 2
         pairs = count_even * count_odd + (h - count_even) * (h - count_odd)
@@ -240,11 +244,11 @@ def _distance_fast(x: Word) -> DistanceResult:
         sum_odd = np.zeros_like(power)
         pairs = total_even = total_odd = 0
         for sym in range(lo, hi):
-            ind_even, count_even = _indicator(even, sym, real_even)
-            ind_odd, count_odd = _indicator(odd, sym, real_odd)
-            if count_even + count_odd == 0:
+            if sym not in x.symbols:  # a byte search, no indicator
                 continue
+            ind_even, count_even = _indicator(even, sym, real_odd)
             _spectrum(ind_even, spec_even, plan)
+            ind_odd, count_odd = _indicator(odd, sym, real_odd)
             _spectrum(ind_odd, spec_odd, plan)
             power += spec_even * spec_odd
             sum_even += spec_even

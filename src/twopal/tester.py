@@ -14,7 +14,10 @@ scan in the classical baseline (which uses sqrt-sized grids instead).
 Both testers learn which columns match from one kernel, `_column_hits`: it
 fingerprints every column on the first PREFIX_SHIFTS shifts only, and builds
 full fingerprints for the columns whose prefix some row shares. Every
-fingerprint comes from a numpy gather, `_fingerprints`. The kernel's reads
+fingerprint comes from a numpy gather, `_fingerprints`. A run's shifts are
+one read-only int64 array, OffsetSample.shifts, from the draw to every
+gather (negated for the rows, sliced for the prefixes); OffsetSample.offsets
+is its tuple view, for callers that want Python ints. The kernel's reads
 are the simulation's own; they are counted as uncharged reads and never
 charged.
 
@@ -61,15 +64,30 @@ def ceil_sqrt(n: int) -> int:
     return r if r * r == n else r + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OffsetSample:
-    """The random shifts p_1..p_m shared by all fingerprints of one run."""
+    """The random shifts p_1..p_m shared by all fingerprints of one run.
 
-    offsets: tuple[int, ...]
+    shifts is a read-only int64 array, copied from whatever sequence of
+    ints the sample is built from (a tuple, or _randbelow's draws), and every
+    gather reads it directly; offsets is its tuple view. An array does not
+    compare by value, so samples compare by identity.
+    """
+
+    shifts: np.ndarray
+
+    def __post_init__(self) -> None:
+        shifts = np.array(self.shifts, dtype=np.int64)
+        shifts.flags.writeable = False
+        object.__setattr__(self, "shifts", shifts)
+
+    @property
+    def offsets(self) -> tuple[int, ...]:
+        return tuple(self.shifts.tolist())
 
     @property
     def m(self) -> int:
-        return len(self.offsets)
+        return len(self.shifts)
 
 
 @dataclass(frozen=True)
@@ -94,7 +112,7 @@ def sample_offsets(n: int, epsilon: float, rng: random.Random) -> OffsetSample:
     rng.randrange(n) for n < 2^32 (see generators._randbelow).
     """
     m = offset_count(n, epsilon)
-    return OffsetSample(tuple(_randbelow(rng, n, m).tolist()))
+    return OffsetSample(_randbelow(rng, n, m))
 
 
 def cube_grids(n: int) -> IndexGrids:
@@ -108,10 +126,13 @@ def sqrt_grids(n: int) -> IndexGrids:
 
 
 def _fingerprints(
-    x: Word, starts: Sequence[int], shifts: Sequence[int]
+    x: Word, starts: Sequence[int] | np.ndarray, shifts: Sequence[int] | np.ndarray
 ) -> list[bytes]:
     """Row k is (x[(starts[k] + p) mod n] for each p in shifts). Charges no
     ledger; callers charge the reads they stand for."""
+    if isinstance(starts, range):
+        # np.asarray walks a range item by item; np.arange does not
+        starts = np.arange(starts.start, starts.stop, starts.step, dtype=np.int64)
     idx = np.add.outer(np.asarray(starts, dtype=np.int64), shifts)
     block = np.take(np.frombuffer(x.symbols, np.uint8), idx, mode="wrap")
     # one void item per row, which tolist() returns as bytes
@@ -124,7 +145,7 @@ def left_string(
     """Fingerprint (x[(i - p) mod n] for each shift p); m reads."""
     if ledger is not None:
         ledger.read_classical(sample.m)
-    return _fingerprints(x, [i], [-p for p in sample.offsets])[0]
+    return _fingerprints(x, [i], -sample.shifts)[0]
 
 
 def right_string(
@@ -133,7 +154,7 @@ def right_string(
     """Fingerprint (x[(j + p) mod n] for each shift p); m reads."""
     if ledger is not None:
         ledger.read_classical(sample.m)
-    return _fingerprints(x, [j], sample.offsets)[0]
+    return _fingerprints(x, [j], sample.shifts)[0]
 
 
 @dataclass(frozen=True)
@@ -156,7 +177,7 @@ def _build_left_table(
     """Map each row's left fingerprint to the first row that has it."""
     ledger.read_classical(len(grids.i_set) * sample.m)
     rows: dict[bytes, int] = {}
-    left = _fingerprints(x, grids.i_set, [-p for p in sample.offsets])
+    left = _fingerprints(x, grids.i_set, -sample.shifts)
     for i, s in zip(grids.i_set, left):
         rows.setdefault(s, i)
     return rows
@@ -183,12 +204,12 @@ def _column_hits(
     """
     width = min(PREFIX_SHIFTS, sample.m)
     prefixes = {key[:width] for key in rows}
-    heads = _fingerprints(x, j_set, sample.offsets[:width])
+    heads = _fingerprints(x, j_set, sample.shifts[:width])
     candidates = [k for k, head in enumerate(heads) if head in prefixes]
     ledger.read_uncharged(len(j_set) * width)
     if width < sample.m:
         ledger.read_uncharged(len(candidates) * sample.m)
-        columns = _fingerprints(x, [j_set[k] for k in candidates], sample.offsets)
+        columns = _fingerprints(x, [j_set[k] for k in candidates], sample.shifts)
     else:
         columns = [heads[k] for k in candidates]
     return {k: rows[s] for k, s in zip(candidates, columns) if s in rows}

@@ -5,12 +5,14 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 from mpmath import mp
 
 from helpers import all_words, member_constructions
 from twopal import (
     Decomposition,
+    DistanceResult,
     OffsetSample,
     QueryLedger,
     brute_force_member,
@@ -264,13 +266,29 @@ def test_criterion_08_grover_simulator_fidelity():
     )
 
 
+def _pair_gather_distance(w):
+    """Reference distance by counting every split's equal mirror pairs in one
+    gather. Split a pairs even position 2*alpha with odd position 2*beta + 1
+    exactly when alpha + beta = a - 1 (mod h), h = n/2, so
+    equal[r] = sum over alpha of [even[alpha] == odd[(r - alpha) mod h]]
+    counts the equal pairs of split r + 1; the distance is h minus the
+    largest count, and the smallest |u| wins ties. No transform is used."""
+    h = w.n // 2
+    arr = np.frombuffer(w.symbols, dtype=np.uint8)
+    even, odd = arr[0::2], arr[1::2]
+    alpha = np.arange(h)
+    equal = (odd[(alpha[:, None] - alpha) % h] == even).sum(axis=1)
+    a = int(np.argmax(equal[: h - 1])) + 1
+    return DistanceResult(h - int(equal[a - 1]), Decomposition(a, h - a))
+
+
 def test_criterion_09_distance_oracle_agreement():
     rng = random.Random(97)
     disagreements = 0
     for _ in range(10_000):
         n = 2 * rng.randrange(2, 257)
         w = random_word(n, rng)
-        if distance_to_language(w, "baseline") != distance_to_language(w, "fast"):
+        if _pair_gather_distance(w) != distance_to_language(w, "fast"):
             disagreements += 1
     equivalence_ok = True
     for n in range(4, 17, 2):

@@ -1,10 +1,14 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
 from twopal import exact_member, gen_member
 from twopal.cli import main
+from twopal.experiment import load_config
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
 
 def test_member_json(capsys):
@@ -142,6 +146,21 @@ def test_experiment_subcommand(tmp_path, capsys):
     header = out.read_text().splitlines()[0]
     assert header.startswith("n,epsilon,mode,class,trials")
     assert "wrote 2 cells" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["scaling.json", "error_rates.json"])
+def test_example_config_runs_at_tiny_sizes(tmp_path, capsys, name):
+    raw = json.loads((EXAMPLES / name).read_text())
+    load_config(EXAMPLES / name)  # the full-size config is valid as shipped
+    raw.update(sizes=[16, 64], trials=4)
+    config = tmp_path / name
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "report.json"
+    argv = ["experiment", "--config", str(config), "--out", str(out), "--format", "json"]
+    assert main(argv) == 0
+    cells = json.loads(out.read_text())["cells"]
+    assert len(cells) == 2 * len(raw["epsilons"]) * len(raw["modes"]) * 2
+    assert {cell["mode"] for cell in cells} == set(raw["modes"])
 
 
 def test_experiment_assert_failure_exits_nonzero(tmp_path, capsys):

@@ -366,6 +366,33 @@ def test_repeat_binary_call_traces_at_most_5n_bytes():
     assert peak <= 5 * n
 
 
+@pytest.mark.parametrize("h, shape", [(512, (512, 1)), (1 << 15, (128, 256))])
+def test_at_most_one_forward_transform_per_symbol_reads_its_own_output(
+    monkeypatch, h, shape
+):
+    # numpy copies a transform's input, h floats, when out overlaps it; the
+    # even half is transformed out of the other buffer, so only the odd
+    # half's transform pays for that copy
+    assert _block_shape(h) == shape
+    rng = random.Random(h)
+    words = {k: random_word(2 * h, rng, alphabet_size=k) for k in (2, 3)}
+    expected = {k: distance_to_language(w) for k, w in words.items()}
+    overlaps = []
+    rfft = np.fft.rfft
+
+    def recorded(a, *args, out=None, **kwargs):
+        overlaps.append(out is not None and np.shares_memory(a, out))
+        return rfft(a, *args, out=out, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", recorded)
+    for present, w in words.items():
+        overlaps.clear()
+        assert distance_to_language(w) == expected[present]
+        # two forward transforms per present symbol but the last
+        assert len(overlaps) == 2 * (present - 1)
+        assert sum(overlaps) <= present - 1
+
+
 # --- blocked (four-step) transforms above the cutover -------------------
 
 # (half-length, blocked shape): the smallest blocked half-length, one with

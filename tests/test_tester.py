@@ -170,6 +170,82 @@ def test_fingerprints_wrap_at_large_n():
     assert _fingerprints(x, starts, shifts) == _per_symbol(x, starts, shifts)
 
 
+@pytest.mark.parametrize("n", [8, 1000, 1 << 21])
+def test_fingerprints_agree_on_range_list_and_array_starts(n):
+    x = random_word(n, random.Random(n))
+    rng = random.Random(23)
+    shifts = [-(n - 1), -1, 0, 1, n - 1] + [rng.randrange(-n + 1, n) for _ in range(40)]
+    shifts = np.array(shifts)
+    for starts in (range(0, n, n // 8), range(3, min(n, 40), 5), range(n - 1, -1, -n // 4)):
+        expected = _per_symbol(x, starts, shifts.tolist())
+        for form in (starts, list(starts), np.array(starts, dtype=np.int64)):
+            assert _fingerprints(x, form, shifts) == expected
+            assert _fingerprints(x, form, shifts.tolist()) == expected
+
+
+# --- the shift sample as an array --------------------------------------
+
+
+def test_offset_sample_is_a_read_only_int64_copy():
+    source = np.array([5, 1, 1023], dtype=np.uint32)
+    sample = OffsetSample(source)
+    source[0] = 7
+    assert sample.shifts.dtype == np.int64
+    assert sample.offsets == (5, 1, 1023) and sample.m == 3
+    with pytest.raises(ValueError):
+        sample.shifts[0] = 0
+    with pytest.raises(ValueError):
+        sample.shifts += 1
+    assert sample_offsets(1024, 0.1, random.Random(3)).shifts.flags.writeable is False
+
+
+def test_tuple_and_array_samples_fingerprint_alike():
+    rng = random.Random(29)
+    for n, alphabet_size in ((8, 2), (1024, 2), (1000, 3), (1 << 15, 2)):
+        x = random_word(n, rng, alphabet_size)
+        drawn = sample_offsets(n, 0.2, rng)
+        as_tuple = OffsetSample(drawn.offsets)
+        assert as_tuple.offsets == drawn.offsets and as_tuple.m == drawn.m
+        assert np.array_equal(as_tuple.shifts, drawn.shifts)
+        for i in (0, 1, n // 3, n - 1):
+            assert left_string(x, i, as_tuple) == left_string(x, i, drawn)
+            assert right_string(x, i, as_tuple) == right_string(x, i, drawn)
+
+
+@pytest.mark.parametrize("mode", ["quantum", "classical"])
+def test_testers_give_the_same_verdicts_on_tuple_built_samples(monkeypatch, mode):
+    def as_tuple(n, epsilon, rng):
+        return OffsetSample(sample_offsets(n, epsilon, rng).offsets)
+
+    run = quantum_test if mode == "quantum" else classical_test
+    cases = [
+        (kind, n, seed) for kind in ("member", "far", "alt") for n in (64, 1024) for seed in (1, 2)
+    ]
+
+    def verdicts():
+        out = []
+        for kind, n, seed in cases:
+            v = run(_seeded_word(kind, n, 0.2, seed), 0.2, random.Random(seed + 100))
+            ledger = v.ledger
+            out.append(
+                (
+                    v.accept,
+                    v.found_pair,
+                    v.rounds,
+                    ledger.classical_reads,
+                    ledger.quantum_charged,
+                    ledger.predicate_calls,
+                    ledger.uncharged_reads,
+                )
+            )
+        return out
+
+    expected = verdicts()
+    monkeypatch.setattr("twopal.tester.sample_offsets", as_tuple)
+    assert verdicts() == expected
+    assert any(accept for accept, *_ in expected) and not all(accept for accept, *_ in expected)
+
+
 # --- completeness ------------------------------------------------------
 
 
