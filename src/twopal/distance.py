@@ -17,22 +17,28 @@ integer sum over symbols of count_even * count_odd.
 
 Half-lengths above BLOCK_CUTOVER run each transform blocked, as a four-step
 FFT (Bailey, "FFTs in external or hierarchical memory", 1990) on the
-h = N1 x N2 reshape of the sequence, N1 being h's largest divisor not above
-sqrt(h) (1024 x 1024 at n = 2^21): a length-N1 rfft down axis 0, one
-multiply by the twiddles W_h^(k1 * j) and a complex length-N2 fft along
-axis 1, so every transform is short enough to stay in cache. The spectrum
-is left in the permuted order, position [k1, k2] holding frequency
+h = N1 x N2 factoring of the sequence, N1 being h's largest divisor not
+above sqrt(h) (1024 x 1024 at n = 2^21). Each half's indicator is written
+as an N2 x N1 grid whose cell [j2, j1] holds position N2 * j1 + j2, so that
+both real passes run along contiguous rows: a length-N1 rfft along each row,
+one multiply by the twiddles W_h^(j2 * k1) and a complex length-N2 fft down
+each column, every transform short enough to stay in cache. The spectrum is
+left in the permuted order, position [k2, k1] holding frequency
 k1 + N1 * k2, because the convolution only multiplies spectra pointwise;
-the inverse runs the same steps backwards (ifft along axis 1, the conjugate
-twiddles, an irfft down axis 0), which lands the result in natural order,
-so no transpose is ever made. Rows k1 <= N1 / 2 hold every frequency, row
-N1 - k1 being row k1 conjugated and reversed. Index 0 is position [0, 0].
-The twiddles are kept factored: with j = c + C * d, one table over (k1, c)
-and one over (k1, d), each about sqrt(N2) columns wide (0.5 MB at
-n = 2^21, against 8 MB for the full table; a prime N2 leaves C = 1 and the
-second table full). At or below the cutover, or when h has no
-divisor between 2 and sqrt(h), the shape is (h, 1): one plain rfft and one
-irfft, with no twiddles.
+the inverse runs the same steps backwards (ifft down each column, the
+conjugate twiddles, an irfft along each row), which lands the result in the
+same N2 x N1 grid, cell [j2, j1] holding residue N2 * j1 + j2. The best
+split is read from that grid in place: its last cell, residue h - 1, is no
+split and is set to -1; residues ascend down each column and then across
+columns, so the first column holding the maximum, then its first row
+holding it, is the smallest |u|. Columns k1 <= N1 / 2 hold every
+frequency, column N1 - k1 being column k1 conjugated and reversed. Index 0
+is position [0, 0]. The twiddles are kept factored: with j2 = c + C * d,
+one table over (c, k1) and one over (d, k1), each about sqrt(N2) rows high
+(0.5 MB at n = 2^21, against 8 MB for the full table; a prime N2 leaves
+C = 1 and the second table full). At or below the cutover, or when h has no divisor
+between 2 and sqrt(h), the shape is (h, 1): the grid is a single row, run
+through one plain rfft and one irfft, with no twiddles.
 
 The transforms run in a per-thread workspace of two float64 buffers, the
 twiddles and the views of both, kept for the last half-length served. Each
@@ -123,24 +129,25 @@ def _block_shape(h: int) -> tuple[int, int]:
 
 
 def _twiddles(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
-    """W_h^(k1 * j) for rows k1 <= N1 / 2 and columns j < N2, in factored
-    form: with j = c + C * d, a (rows, 1, C) table of W_h^(k1 * c) and a
-    (rows, D, 1) table of W_h^(k1 * C * d), so that both broadcast over a
-    (rows, D, C) view of the spectrum."""
+    """W_h^(j2 * k1) for rows j2 < N2 and columns k1 <= N1 / 2, in factored
+    form: with j2 = c + C * d, a (1, C, N1 / 2 + 1) table of W_h^(c * k1)
+    and a (D, 1, N1 / 2 + 1) table of W_h^(C * d * k1), so that both
+    broadcast over a (D, C, N1 / 2 + 1) view of the spectrum."""
     h = n1 * n2
-    k1 = np.arange(n1 // 2 + 1).reshape(-1, 1, 1)
+    k1 = np.arange(n1 // 2 + 1)
     c = _root_divisor(n2)
-    low = k1 * np.arange(c).reshape(1, 1, -1)
-    high = k1 * (c * np.arange(n2 // c)).reshape(1, -1, 1)
+    low = np.arange(c).reshape(1, -1, 1) * k1
+    high = (c * np.arange(n2 // c)).reshape(-1, 1, 1) * k1
     return np.exp(-2j * np.pi / h * low), np.exp(-2j * np.pi / h * high)
 
 
 @dataclass(frozen=True)
 class _Plan:
-    """This thread's transforms for one half-length h: the blocked shape,
-    views of the two workspace buffers (each buffer's first h reals and the
-    whole buffer as one spectrum, of (N1 // 2 + 1) x N2 complex values) and
-    the twiddle tables, none for the (h, 1) shape, where the views are flat."""
+    """This thread's transforms for one half-length h: the blocked shape
+    (N1, N2), views of the two workspace buffers (each buffer's first h
+    reals as an N2 x N1 grid and the whole buffer as one spectrum, of
+    N2 x (N1 // 2 + 1) complex values) and the twiddle tables, none for the
+    (h, 1) shape, whose grid and spectrum are single rows."""
 
     h: int
     shape: tuple[int, int]
@@ -157,14 +164,12 @@ def _plan(h: int) -> _Plan:
     plan = getattr(_workspace, "plan", None)
     if plan is None or plan.h != h:
         n1, n2 = _block_shape(h)
-        rows = n1 // 2 + 1
-        buffers = (np.empty(2 * rows * n2), np.empty(2 * rows * n2))
-        spectra = tuple(buf.view(np.complex128) for buf in buffers)
-        twiddles = ()
-        if n2 > 1:
-            spectra = tuple(spec.reshape(rows, n2) for spec in spectra)
-            twiddles = _twiddles(n1, n2)
-        plan = _Plan(h, (n1, n2), tuple(buf[:h] for buf in buffers), spectra, twiddles)
+        cols = n1 // 2 + 1
+        buffers = (np.empty(2 * n2 * cols), np.empty(2 * n2 * cols))
+        reals = tuple(buf[:h].reshape(n2, n1) for buf in buffers)
+        spectra = tuple(buf.view(np.complex128).reshape(n2, cols) for buf in buffers)
+        twiddles = _twiddles(n1, n2) if n2 > 1 else ()
+        plan = _Plan(h, (n1, n2), reals, spectra, twiddles)
         _workspace.plan = plan
     return plan
 
@@ -178,47 +183,50 @@ def _indicator(half: np.ndarray, sym: int, out: np.ndarray) -> tuple[np.ndarray,
 def _twiddle(
     spec: np.ndarray, twiddles: tuple[np.ndarray, ...], inverse: bool = False
 ) -> None:
-    """Multiply spec[k1, j] by W_h^(k1 * j), or by its conjugate, in place."""
-    view = spec.reshape(spec.shape[0], -1, twiddles[0].shape[2])
+    """Multiply spec[j2, k1] by W_h^(j2 * k1), or by its conjugate, in place."""
+    view = spec.reshape(-1, twiddles[0].shape[1], spec.shape[1])
     for table in twiddles:
         view *= table.conj() if inverse else table
 
 
 def _spectrum(ind: np.ndarray, spec: np.ndarray, plan: _Plan) -> np.ndarray:
-    """Forward transform of ind, written into spec. Blocked, position
-    [k1, k2] of the result holds frequency k1 + N1 * k2."""
+    """Forward transform of the grid ind, written into spec: a length-N1
+    rfft along each row, then, blocked, the twiddles and a length-N2 fft
+    down each column. Position [k2, k1] of the result holds frequency
+    k1 + N1 * k2."""
+    np.fft.rfft(ind, axis=1, out=spec)
     if not plan.twiddles:
-        return np.fft.rfft(ind, out=spec)
-    np.fft.rfft(ind.reshape(plan.shape), axis=0, out=spec)
+        return spec
     _twiddle(spec, plan.twiddles)
-    return np.fft.fft(spec, axis=1, out=spec)
+    return np.fft.fft(spec, axis=0, out=spec)
 
 
 def _inverse(power: np.ndarray, plan: _Plan) -> np.ndarray:
     """The real length-h sequence whose spectrum, in _spectrum's order, is
-    power. It is written into the odd buffer's reals for the (h, 1) shape;
+    power, as an N2 x N1 grid whose cell [j2, j1] holds index N2 * j1 + j2.
+    It is written into the odd buffer's reals for the (h, 1) shape;
     blocked, the odd buffer holds the intermediate and the even buffer's
     reals the result."""
-    if not plan.twiddles:
-        return np.fft.irfft(power, plan.h, out=plan.reals[1])
-    n1, n2 = plan.shape
-    power = np.fft.ifft(power, axis=1, out=plan.spectra[1])
-    _twiddle(power, plan.twiddles, inverse=True)
-    equal = plan.reals[0]
-    np.fft.irfft(power, n1, axis=0, out=equal.reshape(n1, n2))
-    return equal
+    out = plan.reals[1]
+    if plan.twiddles:
+        power = np.fft.ifft(power, axis=0, out=plan.spectra[1])
+        _twiddle(power, plan.twiddles, inverse=True)
+        out = plan.reals[0]
+    return np.fft.irfft(power, plan.shape[0], axis=1, out=out)
 
 
 def _distance_fast(x: Word) -> DistanceResult:
     n = x.n
     h = n // 2
     arr = np.frombuffer(x.symbols, dtype=np.uint8)
-    even, odd = arr[0::2], arr[1::2]
     lo, hi = int(arr.min()), int(arr.max())
     if lo == hi:
         # every mirror pair is equal
         return DistanceResult(0, Decomposition(1, h - 1))
     plan = _plan(h)
+    # each half as the N2 x N1 grid whose cell [j2, j1] is its position
+    # N2 * j1 + j2, that is, symbol 2 * (N2 * j1 + j2) + parity
+    even, odd = arr.reshape(*plan.shape, 2).T
     real_odd = plan.reals[1]
     spec_even, spec_odd = plan.spectra
     # split a pairs even index 2*alpha with odd index 2*beta + 1 exactly when
@@ -260,11 +268,18 @@ def _distance_fast(x: Word) -> DistanceResult:
         pairs += (h - total_even) * (h - total_odd)
     power.flat[0] = pairs
     # each split has h mirror pairs; residue a - 1 counts its equal ones
-    equal = _inverse(power, plan)
-    np.rint(equal, out=equal)
-    # argmax returns the first maximum: the smallest |u| among the best splits
-    a = int(np.argmax(equal[: h - 1])) + 1
-    return DistanceResult(h - int(equal[a - 1]), Decomposition(a, h - a))
+    grid = _inverse(power, plan)
+    np.rint(grid, out=grid)
+    # cell [j2, j1] holds residue N2 * j1 + j2, so residues ascend down each
+    # column and then across columns; the last cell, residue h - 1, is no
+    # split. The first column holding the maximum, then its first row
+    # holding it, is the smallest |u| among the best splits.
+    grid[-1, -1] = -1
+    columns = grid.max(axis=0)
+    j1 = int(columns.argmax())
+    j2 = int(grid[:, j1].argmax())
+    a = grid.shape[0] * j1 + j2 + 1
+    return DistanceResult(h - int(columns[j1]), Decomposition(a, h - a))
 
 
 def distance_to_language(x: Word, method: str = "auto") -> DistanceResult:

@@ -16,7 +16,8 @@ import numpy as np
 from .distance import distance_to_language, far_threshold
 from .words import Word, check_even_length
 
-_TRANSLATE_TABLES = {}
+# _LOW_BITS[k] maps each byte b to b % 2^k, its k low bits
+_LOW_BITS = tuple(bytes(b & ((1 << k) - 1) for b in range(256)) for k in range(9))
 
 
 class FarInstanceError(RuntimeError):
@@ -49,10 +50,7 @@ def random_word(n: int, rng: random.Random, alphabet_size: int = 2) -> Word:
     if n < 0:
         raise ValueError("length must be nonnegative")
     if 256 % alphabet_size == 0:
-        table = _TRANSLATE_TABLES.get(alphabet_size)
-        if table is None:
-            table = bytes(b % alphabet_size for b in range(256))
-            _TRANSLATE_TABLES[alphabet_size] = table
+        table = _LOW_BITS[alphabet_size.bit_length() - 1]
         return Word(rng.randbytes(n).translate(table), alphabet_size)
     symbols = _randbelow(rng, alphabet_size, n).astype(np.uint8)
     return Word(symbols.tobytes(), alphabet_size)

@@ -18,6 +18,7 @@ from twopal import (
     far_threshold,
     gen_far,
     gen_gamma,
+    gen_member,
     is_eps_far,
     random_word,
 )
@@ -440,15 +441,23 @@ def test_prime_half_length_above_the_cutover_runs_single_transforms(monkeypatch)
     assert distance_to_language(words[1]) == expected[1]
 
 
-def _single_transform_distance(w):
-    """The distance from one unblocked length-h rfft per symbol and half
-    and one irfft, every symbol transformed, no workspace."""
+def _residue_counts(w):
+    """Equal mirror pairs per residue a - 1 of split a, residue h - 1
+    included, from one unblocked length-h rfft per symbol and half and one
+    irfft, every symbol transformed, no workspace."""
     arr = np.frombuffer(w.symbols, dtype=np.uint8)
     h = w.n // 2
     spectrum = np.zeros(h // 2 + 1, dtype=np.complex128)
     for sym in np.unique(arr):
         spectrum += np.fft.rfft(arr[0::2] == sym) * np.fft.rfft(arr[1::2] == sym)
-    equal = np.rint(np.fft.irfft(spectrum, h))
+    return np.rint(np.fft.irfft(spectrum, h))
+
+
+def _single_transform_distance(w):
+    """The distance from _residue_counts: the first largest count of a
+    split, that is, the smallest |u| among the best splits."""
+    h = w.n // 2
+    equal = _residue_counts(w)
     a = int(np.argmax(equal[: h - 1])) + 1
     return DistanceResult(h - int(equal[a - 1]), Decomposition(a, h - a))
 
@@ -507,3 +516,91 @@ def test_unrounded_counts_are_within_1e_6_of_integers_at_2_21(monkeypatch):
         distance_to_language(random_word(1 << 21, rng, alphabet_size))
     assert len(margins) == 2
     assert max(margins) < 1e-6
+
+
+# --- the split pick on the N2 x N1 grid ---------------------------------
+
+# blocked half-lengths whose N2 x N1 result grid the pick reads, and the
+# reference each is checked against (the quadratic scan is out of reach
+# at 2^20)
+PICKED = [(1 << 15, (128, 256), "baseline"), (1 << 20, (1024, 1024), "single")]
+
+
+def _tie_words(h, n2):
+    """(name, word) pairs of length 2h: the largest count at residue h - 1,
+    which is no split, or several best splits."""
+    n = 2 * h
+    rng = random.Random(h)
+    half = random_word(h, rng).symbols
+    yield "even palindrome", Word(half + half[::-1])
+    yield "period 4", Word(bytes([0, 0, 0, 1]) * (n // 4))
+    yield "period 8", Word(bytes([0, 1, 1, 0, 1, 0, 0, 0]) * (n // 8))
+    # y is a member of length h split at a, so y + y is one at a and a + h/2
+    a = h // 4 + 3
+    y = gen_member(a, h // 2 - a, rng).symbols
+    yield "two splits", Word(y + y)
+    # ones at even 0, h and odd 2*N2 - 1, h + 2*N2 + 1 tie at the four odd
+    # sums: residues N2 - 1 (cell [N2 - 1, 0]), N2 (cell [0, 1]) and both
+    # plus h/2, so a row-first pick would report |u| = N2 + 1, not N2
+    symbols = bytearray(n)
+    for i in (0, 2 * n2 - 1, h, h + 2 * n2 + 1):
+        symbols[i] = 1
+    yield "column boundary", Word(bytes(symbols))
+
+
+@pytest.mark.parametrize("h, shape, reference", PICKED)
+def test_split_pick_keeps_the_smallest_u_and_skips_residue_h_minus_1(
+    h, shape, reference
+):
+    assert _block_shape(h) == shape
+    n2 = shape[1]
+    for name, w in _tie_words(h, n2):
+        counts = _residue_counts(w)
+        best = np.flatnonzero(counts[: h - 1] == counts[: h - 1].max())
+        columns, rows = best // n2, best % n2
+        if name == "even palindrome":
+            # every mirror pair of residue h - 1 is equal
+            assert counts[h - 1] == h > counts[: h - 1].max()
+        elif name == "two splits":
+            assert counts[best].tolist() == [h, h]
+            assert best.tolist() == [h // 4 + 2, 3 * h // 4 + 2]
+        elif name == "column boundary":
+            assert best.tolist() == [n2 - 1, n2, h // 2 + n2 - 1, h // 2 + n2]
+        else:
+            # the ties span several columns and several rows of one column
+            assert len(set(columns.tolist())) > 1
+            assert len(set(rows[columns == columns[0]].tolist())) > 1
+        result = distance_to_language(w)
+        if reference == "baseline":
+            assert result == distance_to_language(w, "baseline"), name
+        else:
+            assert result == _single_transform_distance(w), name
+        assert result.best_split.half_u == best[0] + 1, name
+
+
+@pytest.mark.parametrize("h", [1 << 15, 1 << 20])
+def test_real_passes_run_along_contiguous_rows(monkeypatch, h):
+    # both real passes read and write whole rows: a pass down axis 0 of the
+    # N1 x N2 block strides across it and was the slowest step at 2^21
+    rng = random.Random(h)
+    words = [random_word(2 * h, rng, alphabet_size=k) for k in (2, 3)]
+    expected = [distance_to_language(w) for w in words]
+    layouts = []
+    for name in ("rfft", "irfft"):
+        transform = getattr(np.fft, name)
+
+        def recorded(a, *args, _name=name, _transform=transform, **kwargs):
+            out = _transform(a, *args, **kwargs)
+            axis = kwargs.get("axis", -1) % a.ndim
+            layouts.append(
+                (_name, a.ndim, axis, a.flags.c_contiguous, out.flags.c_contiguous)
+            )
+            return out
+
+        monkeypatch.setattr(np.fft, name, recorded)
+    assert [distance_to_language(w) for w in words] == expected
+    # binary: two forward transforms and one inverse; ternary: four and one
+    names = ["rfft", "rfft", "irfft"] + ["rfft"] * 4 + ["irfft"]
+    assert [name for name, *_ in layouts] == names
+    for name, ndim, axis, rows_in, rows_out in layouts:
+        assert (ndim, axis, rows_in, rows_out) == (2, 1, True, True), name

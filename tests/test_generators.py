@@ -120,3 +120,15 @@ def test_random_word_reproduces_per_symbol_randrange(alphabet_size):
         w = random_word(n, batched, alphabet_size)
         assert w.symbols == bytes(reference.randrange(alphabet_size) for _ in range(n))
         assert batched.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("alphabet_size", [2, 4, 16, 256])
+def test_random_word_on_power_of_two_alphabets_keeps_byte_residues(alphabet_size):
+    # alphabets dividing 256 reduce one random byte per symbol modulo the
+    # alphabet; the reference does it with a translate table
+    table = bytes(b % alphabet_size for b in range(256))
+    for n in (0, 1, 6, 1000, 1 << 21):
+        drawn, reference = random.Random(n), random.Random(n)
+        w = random_word(n, drawn, alphabet_size)
+        assert w.symbols == reference.randbytes(n).translate(table)
+        assert drawn.getstate() == reference.getstate()
