@@ -557,7 +557,6 @@ def test_split_pick_keeps_the_smallest_u_and_skips_residue_h_minus_1(
     for name, w in _tie_words(h, n2):
         counts = _residue_counts(w)
         best = np.flatnonzero(counts[: h - 1] == counts[: h - 1].max())
-        columns, rows = best // n2, best % n2
         if name == "even palindrome":
             # every mirror pair of residue h - 1 is equal
             assert counts[h - 1] == h > counts[: h - 1].max()
@@ -568,6 +567,7 @@ def test_split_pick_keeps_the_smallest_u_and_skips_residue_h_minus_1(
             assert best.tolist() == [n2 - 1, n2, h // 2 + n2 - 1, h // 2 + n2]
         else:
             # the ties span several columns and several rows of one column
+            columns, rows = best // n2, best % n2
             assert len(set(columns.tolist())) > 1
             assert len(set(rows[columns == columns[0]].tolist())) > 1
         result = distance_to_language(w)
@@ -580,8 +580,8 @@ def test_split_pick_keeps_the_smallest_u_and_skips_residue_h_minus_1(
 
 @pytest.mark.parametrize("h", [1 << 15, 1 << 20])
 def test_real_passes_run_along_contiguous_rows(monkeypatch, h):
-    # both real passes read and write whole rows: a pass down axis 0 of the
-    # N1 x N2 block strides across it and was the slowest step at 2^21
+    # both real passes read and write whole rows; a real pass down axis 0
+    # strides across the whole block and takes about twice as long at 2^21
     rng = random.Random(h)
     words = [random_word(2 * h, rng, alphabet_size=k) for k in (2, 3)]
     expected = [distance_to_language(w) for w in words]
