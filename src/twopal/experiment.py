@@ -3,8 +3,10 @@ aggregates query ledgers, and emits CSV/JSON reports.
 
 A trial is one instance run under every configured mode. It derives its seed
 from the base seed and a stable hash of (n, epsilon, class, trial index),
-builds the instance once, and restores the generator state saved after
-building it before each mode, so every mode sees the same word and the same
+builds the instance once, draws the testers' shift sample once right after
+it (only when a tester mode is configured), and restores the generator state
+saved after that draw before each mode. Each tester takes the shared sample
+in place of its own first draw, so every mode sees the same word and the same
 draws it would see alone. Any subset of cells or modes therefore reproduces
 bit-identically, and trials can run in any order or process. Aggregation uses
 only sums and maxima, keeping parallel runs deterministic (wall-clock seconds
@@ -29,7 +31,7 @@ from typing import Optional
 from .generators import FarInstanceError, gen_far, gen_member
 from .ledger import QueryLedger
 from .membership import exact_member
-from .tester import classical_test, quantum_test
+from .tester import classical_test, quantum_test, sample_offsets
 
 CSV_COLUMNS = (
     "n",
@@ -211,10 +213,10 @@ def _trial_seed(base_seed: int, cell_key: str, trial: int) -> int:
     return base_seed ^ int.from_bytes(digest, "big")
 
 
-def _run_mode(mode: str, x, epsilon: float, rng: random.Random) -> tuple:
+def _run_mode(mode: str, x, epsilon: float, rng: random.Random, sample) -> tuple:
     if mode != "exact":
         tester = quantum_test if mode == "quantum" else classical_test
-        verdict = tester(x, epsilon, rng)
+        verdict = tester(x, epsilon, rng, sample)
         ledger = verdict.ledger
         return (verdict.accept, ledger.total_charged, ledger.classical_reads)
     ledger = QueryLedger()
@@ -224,12 +226,16 @@ def _run_mode(mode: str, x, epsilon: float, rng: random.Random) -> tuple:
 
 def _run_trial(config: ExperimentConfig, key: tuple) -> list[tuple]:
     """One seeded trial, wholly described by config and key = (n, epsilon,
-    class, trial index): build the instance once, then run it under every
-    mode of config.modes, restoring the generator state saved after the build
-    before each one. Returns one (outcome, seconds) per mode, where outcome is
+    class, trial index): build the instance once and, when config.modes holds
+    a tester mode, draw the testers' shift sample once right after it. Then
+    run the instance under every mode of config.modes, restoring the
+    generator state saved after that draw before each one and handing the
+    sample to each tester, which continues exactly as if it had drawn the
+    sample itself. Returns one (outcome, seconds) per mode, where outcome is
     (accepted, total_queries, classical_reads) or the skip reason when no far
     instance was found, and seconds is the mode's own time plus an equal share
-    of the build time. Module level so worker processes can import it."""
+    of the build time (the draw included). Module level so worker processes
+    can import it."""
     n, epsilon, cls_, trial = key
     modes = config.modes
     start = time.perf_counter()
@@ -244,13 +250,17 @@ def _run_trial(config: ExperimentConfig, key: tuple) -> list[tuple]:
     except FarInstanceError as exc:
         share = (time.perf_counter() - start) / len(modes)
         return [(str(exc), share)] * len(modes)
+    # both testers start by drawing the same shifts from the same state
+    sample = None
+    if any(mode != "exact" for mode in modes):
+        sample = sample_offsets(n, epsilon, rng)
     state = rng.getstate()
     share = (time.perf_counter() - start) / len(modes)
     results = []
     for mode in modes:
         rng.setstate(state)
         start = time.perf_counter()
-        outcome = _run_mode(mode, x, epsilon, rng)
+        outcome = _run_mode(mode, x, epsilon, rng, sample)
         results.append((outcome, share + time.perf_counter() - start))
     return results
 

@@ -20,6 +20,12 @@ from .words import Word, check_even_length
 _LOW_BITS = tuple(bytes(b & ((1 << k) - 1) for b in range(256)) for k in range(9))
 
 
+# _randbelow draws its last values one by one once at most this many are
+# missing: each batch round has a fixed cost of a few microseconds, and the
+# rounds left for a few values cost more than one getrandbits call per output
+SCALAR_TAIL = 16
+
+
 class FarInstanceError(RuntimeError):
     """No far instance found within the attempt budget."""
 
@@ -32,16 +38,25 @@ def _randbelow(rng: random.Random, bound: int, count: int) -> np.ndarray:
     32-bit generator output and retries while they are >= bound. Here the
     outputs are drawn in batches, one per missing value, and filtered the
     same way; a batch never yields more values than are missing, so no
-    output is drawn that randrange would not have drawn.
+    output is drawn that randrange would not have drawn. The last
+    SCALAR_TAIL or fewer values are drawn as randrange draws them, by one
+    getrandbits(bound.bit_length()) call per output.
     """
-    shift = 32 - bound.bit_length()
-    kept = [np.empty(0, dtype=np.uint32)]
+    bits = bound.bit_length()
+    kept = []
     missing = count
-    while missing:
+    while missing > SCALAR_TAIL:
         words = rng.getrandbits(32 * missing).to_bytes(4 * missing, "little")
-        draws = np.frombuffer(words, dtype="<u4") >> shift
+        draws = np.frombuffer(words, dtype="<u4") >> (32 - bits)
         kept.append(draws[draws < bound])
         missing -= kept[-1].size
+    tail = []
+    while missing:
+        r = rng.getrandbits(bits)
+        if r < bound:
+            tail.append(r)
+            missing -= 1
+    kept.append(np.array(tail, dtype=np.uint32))
     return np.concatenate(kept)
 
 

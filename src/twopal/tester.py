@@ -215,7 +215,29 @@ def _column_hits(
     return {k: rows[s] for k, s in zip(candidates, columns) if s in rows}
 
 
-def quantum_test(x: Word, epsilon: float, rng: random.Random) -> Verdict:
+def _shift_sample(
+    x: Word, epsilon: float, rng: random.Random, sample: Optional[OffsetSample]
+) -> OffsetSample:
+    """The caller's sample, checked to hold offset_count(n, epsilon) shifts,
+    or a fresh draw from rng."""
+    _check_domain(x.n, epsilon)
+    if sample is None:
+        return sample_offsets(x.n, epsilon, rng)
+    m = offset_count(x.n, epsilon)
+    if sample.m != m:
+        raise ValueError(
+            f"sample holds {sample.m} shifts, but n={x.n}, epsilon={epsilon} "
+            f"needs {m}"
+        )
+    return sample
+
+
+def quantum_test(
+    x: Word,
+    epsilon: float,
+    rng: random.Random,
+    sample: Optional[OffsetSample] = None,
+) -> Verdict:
     """Sublinear tester: cube-root grids, a table of row fingerprints,
     simulated Grover search over the column grid.
 
@@ -223,10 +245,13 @@ def quantum_test(x: Word, epsilon: float, rng: random.Random) -> Verdict:
     rejects far words unless some grid pair collides on all m shifts. Total
     charged queries are O((1/epsilon) * n^(1/3) * log n): step * m classical
     reads to fill the row table, then m per charged search evaluation.
+
+    sample, when given, stands for the draw sample_offsets(x.n, epsilon, rng)
+    already made from rng, so the run is the one it would be without it; it
+    must hold offset_count(x.n, epsilon) shifts (ValueError otherwise).
     """
-    _check_domain(x.n, epsilon)
+    sample = _shift_sample(x, epsilon, rng, sample)
     ledger = QueryLedger()
-    sample = sample_offsets(x.n, epsilon, rng)
     grids = cube_grids(x.n)
     rows = _build_left_table(x, grids, sample, ledger)
     hits = _column_hits(x, grids.j_set, sample, rows, ledger)
@@ -239,17 +264,22 @@ def quantum_test(x: Word, epsilon: float, rng: random.Random) -> Verdict:
     return Verdict(outcome.found is not None, ledger, found_pair, outcome.rounds)
 
 
-def classical_test(x: Word, epsilon: float, rng: random.Random) -> Verdict:
+def classical_test(
+    x: Word,
+    epsilon: float,
+    rng: random.Random,
+    sample: Optional[OffsetSample] = None,
+) -> Verdict:
     """Baseline tester with sqrt-sized grids and a column scan that stops at
     the first hit.
 
     The scan has no search error, so members are always accepted; charged
     queries are about 2 * sqrt(n) * m, all classical. A hit at column k is
-    charged (k + 1) * m reads, what the scan read to reach it.
+    charged (k + 1) * m reads, what the scan read to reach it. sample is as
+    for quantum_test: a draw already made from rng, of the checked length.
     """
-    _check_domain(x.n, epsilon)
+    sample = _shift_sample(x, epsilon, rng, sample)
     ledger = QueryLedger()
-    sample = sample_offsets(x.n, epsilon, rng)
     grids = sqrt_grids(x.n)
     rows = _build_left_table(x, grids, sample, ledger)
     hits = _column_hits(x, grids.j_set, sample, rows, ledger)

@@ -119,8 +119,8 @@ def test_one_instance_per_trial_runs_under_every_mode(monkeypatch):
 
     counted("gen_far")
     counted("gen_member")
-    # classical draws its offsets before quantum runs, so quantum matches its
-    # single-mode run only if the generator state is restored between modes
+    # classical runs before quantum, so quantum matches its single-mode run
+    # only if it sees the state saved after the trial's shift draw
     modes = ("exact", "classical", "quantum")
     config = small_config(sizes=(16, 64), epsilons=(0.1, 0.2), modes=modes, trials=5)
     full = run_experiment(config)
@@ -137,6 +137,32 @@ def test_one_instance_per_trial_runs_under_every_mode(monkeypatch):
         for cell in alone.cells:
             key = (cell.n, cell.epsilon, cell.mode, cell.instance_class)
             assert _cell_record(cell) == _cell_record(by_key[key])
+
+
+@pytest.mark.parametrize(
+    "modes, draws_per_trial",
+    [
+        (("quantum", "classical", "exact"), 1),
+        (("classical", "quantum"), 1),
+        (("quantum",), 1),
+        (("exact",), 0),
+    ],
+)
+def test_a_trial_draws_its_shift_sample_once(monkeypatch, modes, draws_per_trial):
+    calls = []
+    original = experiment.sample_offsets
+
+    def counted(n, epsilon, rng):
+        calls.append((n, epsilon))
+        return original(n, epsilon, rng)
+
+    # the testers must not draw again, so their own name is counted too
+    monkeypatch.setattr(experiment, "sample_offsets", counted)
+    monkeypatch.setattr("twopal.tester.sample_offsets", counted)
+    config = small_config(sizes=(16, 64), epsilons=(0.1, 0.2), modes=modes, trials=5)
+    run_experiment(config)
+    keys = [(n, eps) for n in (16, 64) for eps in (0.1, 0.2) for _ in range(5)]
+    assert calls == keys * draws_per_trial
 
 
 def test_run_experiment_cells_and_determinism():

@@ -15,6 +15,7 @@ from twopal import (
     gen_sigma,
     random_word,
 )
+from twopal.generators import SCALAR_TAIL, _randbelow
 
 
 def test_sigma_frozen():
@@ -132,3 +133,15 @@ def test_random_word_on_power_of_two_alphabets_keeps_byte_residues(alphabet_size
         w = random_word(n, drawn, alphabet_size)
         assert w.symbols == reference.randbytes(n).translate(table)
         assert drawn.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("bound", [1, 3, 1024, 1025, 1 << 21, (1 << 32) - 1])
+def test_randbelow_reproduces_randrange_around_the_scalar_tail(bound):
+    # the counts straddle the switch to scalar draws at SCALAR_TAIL missing
+    assert SCALAR_TAIL == 16
+    for count in (0, 1, 16, 17, 33, 420):
+        for seed in range(3):
+            drawn, reference = random.Random(seed), random.Random(seed)
+            values = _randbelow(drawn, bound, count)
+            assert values.tolist() == [reference.randrange(bound) for _ in range(count)]
+            assert drawn.getstate() == reference.getstate()

@@ -246,6 +246,37 @@ def test_testers_give_the_same_verdicts_on_tuple_built_samples(monkeypatch, mode
     assert any(accept for accept, *_ in expected) and not all(accept for accept, *_ in expected)
 
 
+@pytest.mark.parametrize("tester", [quantum_test, classical_test])
+@pytest.mark.parametrize("n", [16, 1024, 1 << 15])
+def test_a_handed_sample_stands_for_the_testers_own_draw(tester, n):
+    # far words are certified at eps 0.1: uniform words rarely reach 0.3 n
+    words = [("member", seed) for seed in (1, 2)] + [("far", seed) for seed in (1, 2)]
+    accepts = set()
+    for epsilon in (0.1, 0.3):
+        for kind, seed in words:
+            x = _seeded_word(kind, n, 0.1, seed)
+            rng_a, rng_b = random.Random(seed + 50), random.Random(seed + 50)
+            alone = tester(x, epsilon, rng_a)
+            sample = sample_offsets(n, epsilon, rng_b)
+            handed = tester(x, epsilon, rng_b, sample)
+            assert handed.accept == alone.accept
+            assert handed.ledger == alone.ledger
+            assert handed.found_pair == alone.found_pair
+            assert handed.rounds == alone.rounds
+            assert rng_a.getstate() == rng_b.getstate()
+            accepts.add(alone.accept)
+    assert accepts == {True, False}
+
+
+@pytest.mark.parametrize("tester", [quantum_test, classical_test])
+def test_a_handed_sample_of_the_wrong_length_is_refused(tester):
+    x = _seeded_word("member", 1024, 0.1, 3)
+    m = offset_count(1024, 0.1)
+    for shifts in (range(m - 1), range(m + 1), range(offset_count(1024, 0.3))):
+        with pytest.raises(ValueError, match="shifts"):
+            tester(x, 0.1, random.Random(0), OffsetSample(shifts))
+
+
 # --- completeness ------------------------------------------------------
 
 
