@@ -18,7 +18,6 @@ from .generators import (
 )
 from .grover import (
     GroverOutcome,
-    grover_search,
     round_success_probability,
     schedule_success_probability,
 )
@@ -30,7 +29,6 @@ from .membership import (
     exact_member,
     kmp_member,
     kmp_occurrences,
-    kmp_search,
 )
 from .tester import (
     IndexGrids,
@@ -40,10 +38,8 @@ from .tester import (
     classical_test,
     cube_grids,
     icbrt,
-    left_string,
     offset_count,
     quantum_test,
-    right_string,
     sample_offsets,
     sqrt_grids,
 )
@@ -73,18 +69,14 @@ __all__ = [
     "gen_gamma",
     "gen_member",
     "gen_sigma",
-    "grover_search",
     "icbrt",
     "is_eps_far",
     "kmp_member",
     "kmp_occurrences",
-    "kmp_search",
-    "left_string",
     "offset_count",
     "quantum_test",
     "random_word",
     "reverse",
-    "right_string",
     "round_success_probability",
     "sample_offsets",
     "schedule_success_probability",

@@ -285,14 +285,13 @@ def _distance_fast(x: Word) -> DistanceResult:
 def distance_to_language(x: Word, method: str = "auto") -> DistanceResult:
     """Minimum Hamming distance from x to any two-palindrome concatenation.
 
-    method: "auto" (the default) and "fast" both run one length-n/2 cyclic
-    convolution, O(n log n) at every size; "baseline" is the quadratic split
-    scan, kept only as the reference tests compare against. Both produce
-    identical results, including the smallest-|u| tie-break on the reported
-    split.
+    method: "auto" (the default) runs one length-n/2 cyclic convolution,
+    O(n log n) at every size; "baseline" is the quadratic split scan, kept
+    only as the reference tests compare against. Both produce identical
+    results, including the smallest-|u| tie-break on the reported split.
     """
     check_even_length(x.n)
-    if method in ("auto", "fast"):
+    if method == "auto":
         return _distance_fast(x)
     if method == "baseline":
         return _distance_baseline(x)

@@ -3,14 +3,14 @@ aggregates query ledgers, and emits CSV/JSON reports.
 
 A trial is one instance run under every configured mode. It derives its seed
 from the base seed and a stable hash of (n, epsilon, class, trial index),
-builds the instance once, draws the testers' shift sample once right after
-it (only when a tester mode is configured), and restores the generator state
-saved after that draw before each mode. Each tester takes the shared sample
-in place of its own first draw, so every mode sees the same word and the same
-draws it would see alone. Any subset of cells or modes therefore reproduces
-bit-identically, and trials can run in any order or process. Aggregation uses
-only sums and maxima, keeping parallel runs deterministic (wall-clock seconds
-excepted).
+builds the instance once, and draws the testers' shift sample once right
+after it (only when a tester mode is configured). Each tester takes the
+shared sample in place of its own first draw, and after that draw only the
+quantum tester takes anything from the generator, so every mode sees the
+same word and the same draws it would see alone. Any subset of cells or
+modes therefore reproduces bit-identically, and trials can run in any order
+or process. Aggregation uses only sums and maxima, keeping parallel runs
+deterministic (wall-clock seconds excepted).
 """
 
 from __future__ import annotations
@@ -228,14 +228,14 @@ def _run_trial(config: ExperimentConfig, key: tuple) -> list[tuple]:
     """One seeded trial, wholly described by config and key = (n, epsilon,
     class, trial index): build the instance once and, when config.modes holds
     a tester mode, draw the testers' shift sample once right after it. Then
-    run the instance under every mode of config.modes, restoring the
-    generator state saved after that draw before each one and handing the
-    sample to each tester, which continues exactly as if it had drawn the
-    sample itself. Returns one (outcome, seconds) per mode, where outcome is
-    (accepted, total_queries, classical_reads) or the skip reason when no far
-    instance was found, and seconds is the mode's own time plus an equal share
-    of the build time (the draw included). Module level so worker processes
-    can import it."""
+    run the instance under every mode of config.modes, handing the sample to
+    each tester, which continues exactly as if it had drawn it itself. Only
+    the quantum tester draws from rng after that, so every mode starts from
+    the state the draw left. Returns one (outcome, seconds) per mode, where
+    outcome is (accepted, total_queries, classical_reads) or the skip reason
+    when no far instance was found, and seconds is the mode's own time plus
+    an equal share of the build time (the draw included). Module level so
+    worker processes can import it."""
     n, epsilon, cls_, trial = key
     modes = config.modes
     start = time.perf_counter()
@@ -254,11 +254,9 @@ def _run_trial(config: ExperimentConfig, key: tuple) -> list[tuple]:
     sample = None
     if any(mode != "exact" for mode in modes):
         sample = sample_offsets(n, epsilon, rng)
-    state = rng.getstate()
     share = (time.perf_counter() - start) / len(modes)
     results = []
     for mode in modes:
-        rng.setstate(state)
         start = time.perf_counter()
         outcome = _run_mode(mode, x, epsilon, rng, sample)
         results.append((outcome, share + time.perf_counter() - start))
@@ -287,7 +285,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     ]
     run = functools.partial(_run_trial, config)
     if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(config.workers, len(keys))) as pool:
             results = list(pool.map(run, keys))
     else:
         results = list(map(run, keys))

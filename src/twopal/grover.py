@@ -18,10 +18,8 @@ verification evaluation; with no solutions the full cap is charged, mirroring
 a real run that cannot stop early.
 
 The round loop, search_solutions, takes the solution indices from its caller:
-the tester finds them privately with its column-hit kernel, and the
-predicate form grover_search evaluates the predicate on the whole domain to
-list them. Neither is charged, and the solution count never reaches the
-caller through the outcome.
+the tester finds them privately, and uncharged, with its column-hit kernel.
+The solution count never reaches the caller through the outcome.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -80,22 +78,6 @@ def _iteration_cap(domain_size: int) -> int:
     return math.ceil(CAP_MULTIPLIER * math.sqrt(domain_size))
 
 
-def grover_search(
-    domain_size: int,
-    predicate: Callable[[int], bool],
-    rng: random.Random,
-    cost_per_call: int = 1,
-    ledger: Optional[QueryLedger] = None,
-) -> GroverOutcome:
-    """Search [0, domain_size) for an index where predicate holds.
-
-    Evaluates the predicate privately on the whole domain, never charged,
-    and runs search_solutions on the indices where it holds.
-    """
-    solutions = [i for i in range(domain_size) if predicate(i)]
-    return search_solutions(domain_size, solutions, rng, cost_per_call, ledger)
-
-
 def search_solutions(
     domain_size: int,
     solutions: Sequence[int],
@@ -143,7 +125,7 @@ def search_solutions(
 
 
 def schedule_success_probability(domain_size: int, solution_count: int) -> float:
-    """Exact overall success probability of grover_search for a given
+    """Exact overall success probability of search_solutions for a given
     solution count, by dynamic programming over consumed iterations.
 
     Tracks the probability mass still searching at each iteration budget and

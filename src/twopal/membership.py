@@ -69,11 +69,6 @@ def kmp_occurrences(pattern: Sequence[int], text: Sequence[int]) -> Iterator[int
             q = fail[q - 1]
 
 
-def kmp_search(pattern: Sequence[int], text: Sequence[int]) -> Optional[int]:
-    """Smallest start index of pattern in text, or None."""
-    return next(kmp_occurrences(pattern, text), None)
-
-
 def brute_force_member(x: Word) -> MembershipResult:
     """Try every even split; quadratic and deliberately unoptimized.
 

@@ -16,8 +16,7 @@ fingerprints every column on the first PREFIX_SHIFTS shifts only, and builds
 full fingerprints for the columns whose prefix some row shares. Every
 fingerprint comes from a numpy gather, `_fingerprints`. A run's shifts are
 one read-only int64 array, OffsetSample.shifts, from the draw to every
-gather (negated for the rows, sliced for the prefixes); OffsetSample.offsets
-is its tuple view, for callers that want Python ints. The kernel's reads
+gather (negated for the rows, sliced for the prefixes). The kernel's reads
 are the simulation's own; they are counted as uncharged reads and never
 charged.
 
@@ -70,8 +69,8 @@ class OffsetSample:
 
     shifts is a read-only int64 array, copied from whatever sequence of
     ints the sample is built from (a tuple, or _randbelow's draws), and every
-    gather reads it directly; offsets is its tuple view. An array does not
-    compare by value, so samples compare by identity.
+    gather reads it directly. An array does not compare by value, so samples
+    compare by identity.
     """
 
     shifts: np.ndarray
@@ -80,10 +79,6 @@ class OffsetSample:
         shifts = np.array(self.shifts, dtype=np.int64)
         shifts.flags.writeable = False
         object.__setattr__(self, "shifts", shifts)
-
-    @property
-    def offsets(self) -> tuple[int, ...]:
-        return tuple(self.shifts.tolist())
 
     @property
     def m(self) -> int:
@@ -137,24 +132,6 @@ def _fingerprints(
     block = np.take(np.frombuffer(x.symbols, np.uint8), idx, mode="wrap")
     # one void item per row, which tolist() returns as bytes
     return block.view(np.dtype((np.void, block.shape[1]))).ravel().tolist()
-
-
-def left_string(
-    x: Word, i: int, sample: OffsetSample, ledger: Optional[QueryLedger] = None
-) -> bytes:
-    """Fingerprint (x[(i - p) mod n] for each shift p); m reads."""
-    if ledger is not None:
-        ledger.read_classical(sample.m)
-    return _fingerprints(x, [i], -sample.shifts)[0]
-
-
-def right_string(
-    x: Word, j: int, sample: OffsetSample, ledger: Optional[QueryLedger] = None
-) -> bytes:
-    """Fingerprint (x[(j + p) mod n] for each shift p); m reads."""
-    if ledger is not None:
-        ledger.read_classical(sample.m)
-    return _fingerprints(x, [j], sample.shifts)[0]
 
 
 @dataclass(frozen=True)

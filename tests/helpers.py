@@ -1,4 +1,4 @@
-"""Enumeration helpers shared across the suite."""
+"""Enumeration and reference helpers shared across the suite."""
 
 import itertools
 
@@ -29,3 +29,17 @@ def member_words(n, alphabet_size=2):
         if word.symbols not in seen:
             seen.add(word.symbols)
             yield word
+
+
+def left(x, i, sample):
+    """Row i's fingerprint (x[(i - p) mod n] for each shift p), read one
+    symbol at a time: the reference for the tester's gathered rows."""
+    s, n = x.symbols, x.n
+    return bytes([s[(i - p) % n] for p in sample.shifts.tolist()])
+
+
+def right(x, j, sample):
+    """Column j's fingerprint (x[(j + p) mod n] for each shift p), read one
+    symbol at a time: the reference for the tester's gathered columns."""
+    s, n = x.symbols, x.n
+    return bytes([s[(j + p) % n] for p in sample.shifts.tolist()])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from helpers import all_words, member_constructions
+from helpers import all_words, left, member_constructions, right
 from twopal import (
     Decomposition,
     DistanceResult,
@@ -21,14 +21,12 @@ from twopal import (
     distance_to_language,
     exact_member,
     gen_member,
-    grover_search,
-    left_string,
     random_word,
-    right_string,
     round_success_probability,
     schedule_success_probability,
 )
 from twopal.experiment import ExperimentConfig, run_experiment
+from twopal.grover import search_solutions
 
 mp.dps = 50
 
@@ -97,7 +95,7 @@ def test_criterion_03_every_member_has_a_grid_pair():
             ok = beta in grids.i_set and j in grids.j_set and beta + j == target
             for _ in range(100):
                 sample = OffsetSample(tuple(rng.randrange(n) for _ in range(8)))
-                if left_string(w, beta, sample) != right_string(w, j, sample):
+                if left(w, beta, sample) != right(w, j, sample):
                     ok = False
                     break
             checked += 1
@@ -240,11 +238,11 @@ def test_criterion_08_grover_simulator_fidelity():
     rate_ok = True
     rates = []
     for domain, t in ((16, 1), (64, 1), (64, 4), (256, 16)):
-        solutions = set(range(0, domain, domain // t))
+        solutions = range(0, domain, domain // t)
         assert len(solutions) == t
         rng = random.Random(2024)
         hits = sum(
-            grover_search(domain, lambda i: i in solutions, rng).found is not None
+            search_solutions(domain, solutions, rng).found is not None
             for _ in range(runs)
         )
         analytic = schedule_success_probability(domain, t)
@@ -254,7 +252,7 @@ def test_criterion_08_grover_simulator_fidelity():
             rate_ok = False
 
     none_found = all(
-        grover_search(50, lambda i: False, random.Random(s)).found is None
+        search_solutions(50, [], random.Random(s)).found is None
         for s in range(200)
     )
     elapsed = time.perf_counter() - start
@@ -288,7 +286,7 @@ def test_criterion_09_distance_oracle_agreement():
     for _ in range(10_000):
         n = 2 * rng.randrange(2, 257)
         w = random_word(n, rng)
-        if _pair_gather_distance(w) != distance_to_language(w, "fast"):
+        if _pair_gather_distance(w) != distance_to_language(w):
             disagreements += 1
     equivalence_ok = True
     for n in range(4, 17, 2):

@@ -59,8 +59,9 @@ def test_domain_errors():
     for text in ("", "01", "010", "01010"):
         with pytest.raises(ValueError):
             distance_to_language(Word.from_text(text) if text else Word(b""))
-    with pytest.raises(ValueError):
-        distance_to_language(Word.from_text("0110"), method="magic")
+    for method in ("magic", "fast"):
+        with pytest.raises(ValueError):
+            distance_to_language(Word.from_text("0110"), method=method)
 
 
 def test_zero_distance_iff_member_exhaustive():
@@ -76,7 +77,7 @@ def test_fast_equals_baseline_random():
     for _ in range(1500):
         n = 2 * rng.randrange(2, 257)
         w = random_word(n, rng)
-        assert distance_to_language(w, "baseline") == distance_to_language(w, "fast")
+        assert distance_to_language(w, "baseline") == distance_to_language(w)
 
 
 def test_fast_equals_baseline_ternary():
@@ -84,16 +85,14 @@ def test_fast_equals_baseline_ternary():
     for _ in range(300):
         n = 2 * rng.randrange(2, 65)
         w = random_word(n, rng, alphabet_size=3)
-        assert distance_to_language(w, "baseline") == distance_to_language(w, "fast")
+        assert distance_to_language(w, "baseline") == distance_to_language(w)
 
 
 @pytest.mark.parametrize("n_max, alphabet_size", [(14, 2), (10, 3)])
 def test_fast_equals_baseline_exhaustive(n_max, alphabet_size):
     for n in range(4, n_max + 1, 2):
         for w in all_words(n, alphabet_size):
-            assert distance_to_language(w, "fast") == distance_to_language(
-                w, "baseline"
-            )
+            assert distance_to_language(w) == distance_to_language(w, "baseline")
 
 
 def _adversarial_words(n):
@@ -109,7 +108,7 @@ def _adversarial_words(n):
 @pytest.mark.parametrize("n", [4, 6, 8, 16, 30, 64, 98, 256, 1000, 1022])
 def test_fast_equals_baseline_periodic_and_adversarial(n):
     for w in _adversarial_words(n):
-        assert distance_to_language(w, "fast") == distance_to_language(w, "baseline")
+        assert distance_to_language(w) == distance_to_language(w, "baseline")
 
 
 @pytest.mark.parametrize("n", [6, 10, 1022, 2050, 4098])
@@ -119,7 +118,7 @@ def test_fast_equals_baseline_on_odd_half_lengths(n):
     words = list(_adversarial_words(n))
     words += [random_word(n, rng, alphabet_size=k) for k in (2, 2, 3, 5)]
     for w in words:
-        assert distance_to_language(w, "fast") == distance_to_language(w, "baseline")
+        assert distance_to_language(w) == distance_to_language(w, "baseline")
 
 
 # --- the derived last spectrum -----------------------------------------
@@ -154,9 +153,7 @@ def test_fast_equals_baseline_when_codes_are_absent(alphabet_size, codes):
     for n in (4, 6, 16, 64, 1000, 1022):
         for _ in range(4):
             w = Word(bytes(rng.choice(codes) for _ in range(n)), alphabet_size)
-            assert distance_to_language(w, "fast") == distance_to_language(
-                w, "baseline"
-            )
+            assert distance_to_language(w) == distance_to_language(w, "baseline")
 
 
 @pytest.mark.parametrize("alphabet_size", [2, 3, 256])
@@ -165,7 +162,7 @@ def test_one_symbol_words_run_no_transform(monkeypatch, alphabet_size, n):
     calls = _count_transforms(monkeypatch)
     for sym in sorted({0, 1, alphabet_size - 1}):
         w = Word(bytes([sym]) * n, alphabet_size)
-        assert distance_to_language(w, "fast") == distance_to_language(w, "baseline")
+        assert distance_to_language(w) == distance_to_language(w, "baseline")
         assert distance_to_language(w).distance == 0
     assert calls == []
 
@@ -190,7 +187,7 @@ def test_fast_equals_baseline_seeded_large_alphabets(alphabet_size, n):
     rng = random.Random(alphabet_size * 10_000 + n)
     for _ in range(3):
         w = random_word(n, rng, alphabet_size=alphabet_size)
-        assert distance_to_language(w, "fast") == distance_to_language(w, "baseline")
+        assert distance_to_language(w) == distance_to_language(w, "baseline")
 
 
 def test_fast_split_count_at_large_n():
@@ -224,7 +221,7 @@ def test_gen_far_output_is_frozen():
 @given(st.integers(min_value=2, max_value=40), st.randoms(use_true_random=False))
 def test_fast_equals_baseline_property(half_n, rng):
     w = random_word(2 * half_n, rng)
-    assert distance_to_language(w, "baseline") == distance_to_language(w, "fast")
+    assert distance_to_language(w, "baseline") == distance_to_language(w)
 
 
 def test_repair_witness():
@@ -303,7 +300,7 @@ def test_workspace_survives_sizes_and_alphabets_going_up_and_down():
         large = n > 4096
         for present in (1, 2, 3) if large else (1, 2, 3, 256):
             w = _word_with_present(n, present, rng)
-            fast = distance_to_language(w, "fast")
+            fast = distance_to_language(w)
             if large:
                 assert fast == _fresh_thread_distance(w)
                 pairs = mismatched_pairs(w, fast.best_split.half_u)
@@ -427,7 +424,7 @@ def test_fast_equals_baseline_just_above_the_cutover(h, shape):
     if h == BLOCKED[0][0]:
         words += _adversarial_words(2 * h)
     for w in words:
-        assert distance_to_language(w, "fast") == distance_to_language(w, "baseline")
+        assert distance_to_language(w) == distance_to_language(w, "baseline")
 
 
 def test_prime_half_length_above_the_cutover_runs_single_transforms(monkeypatch):

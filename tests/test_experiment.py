@@ -120,7 +120,7 @@ def test_one_instance_per_trial_runs_under_every_mode(monkeypatch):
     counted("gen_far")
     counted("gen_member")
     # classical runs before quantum, so quantum matches its single-mode run
-    # only if it sees the state saved after the trial's shift draw
+    # only if classical, handed the trial's shift sample, draws nothing more
     modes = ("exact", "classical", "quantum")
     config = small_config(sizes=(16, 64), epsilons=(0.1, 0.2), modes=modes, trials=5)
     full = run_experiment(config)
@@ -229,6 +229,34 @@ def test_workers_reproduce_every_ledger_field():
     assert [_cell_record(c) for c in serial.cells] == [
         _cell_record(c) for c in parallel.cells
     ]
+
+
+def test_the_pool_is_never_larger_than_the_trial_count(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Records the pool size asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    serial = run_experiment(small_config(trials=4))
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
+    for workers in (64, 4, 3):
+        report = run_experiment(small_config(trials=4, workers=workers))
+        assert [_cell_record(c) for c in report.cells] == [
+            _cell_record(c) for c in serial.cells
+        ]
+    assert sizes == [4, 4, 3]
 
 
 def test_skipped_cell_reported(tmp_path):

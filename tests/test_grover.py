@@ -4,12 +4,7 @@ import random
 import pytest
 from mpmath import mp
 
-from twopal import (
-    QueryLedger,
-    grover_search,
-    round_success_probability,
-    schedule_success_probability,
-)
+from twopal import QueryLedger, round_success_probability, schedule_success_probability
 from twopal.grover import _iteration_cap, search_solutions
 
 mp.dps = 50
@@ -47,8 +42,8 @@ def test_round_probability_frozen_cases():
 def test_no_solutions_charges_full_cap():
     for domain in (1, 5, 64, 1000):
         ledger = QueryLedger()
-        outcome = grover_search(
-            domain, lambda i: False, random.Random(7), cost_per_call=3, ledger=ledger
+        outcome = search_solutions(
+            domain, [], random.Random(7), cost_per_call=3, ledger=ledger
         )
         cap = _iteration_cap(domain)
         assert outcome.found is None
@@ -60,8 +55,8 @@ def test_no_solutions_charges_full_cap():
 
 def test_all_solutions_measures_immediately():
     ledger = QueryLedger()
-    outcome = grover_search(
-        16, lambda i: True, random.Random(5), cost_per_call=2, ledger=ledger
+    outcome = search_solutions(
+        16, range(16), random.Random(5), cost_per_call=2, ledger=ledger
     )
     assert outcome.found is not None
     assert outcome.iterations_used == 0
@@ -73,33 +68,32 @@ def test_all_solutions_measures_immediately():
 
 
 def test_found_index_is_a_solution():
-    solutions = {3, 11, 40}
+    solutions = [3, 11, 40]
     rng = random.Random(13)
     for _ in range(300):
-        outcome = grover_search(64, lambda i: i in solutions, rng)
+        outcome = search_solutions(64, solutions, rng)
         if outcome.found is not None:
             assert outcome.found in solutions
 
 
 def test_every_solution_reachable():
-    solutions = {1, 22, 45, 63}
+    solutions = [1, 22, 45, 63]
     rng = random.Random(17)
     seen = set()
     for _ in range(400):
-        outcome = grover_search(64, lambda i: i in solutions, rng)
+        outcome = search_solutions(64, solutions, rng)
         if outcome.found is not None:
             seen.add(outcome.found)
-    assert seen == solutions
+    assert sorted(seen) == solutions
 
 
 def test_iterations_and_charge_bounds():
     rng = random.Random(19)
     for domain, solutions in ((16, 1), (64, 3), (100, 10), (256, 1)):
-        sols = set(range(solutions))
         for _ in range(50):
             ledger = QueryLedger()
-            outcome = grover_search(
-                domain, lambda i: i in sols, rng, cost_per_call=5, ledger=ledger
+            outcome = search_solutions(
+                domain, range(solutions), rng, cost_per_call=5, ledger=ledger
             )
             cap = _iteration_cap(domain)
             assert outcome.iterations_used <= cap
@@ -109,26 +103,9 @@ def test_iterations_and_charge_bounds():
             )
 
 
-def test_meta_evaluations_not_charged():
-    calls = 0
-
-    def predicate(i):
-        nonlocal calls
-        calls += 1
-        return i == 9
-
-    ledger = QueryLedger()
-    outcome = grover_search(32, predicate, random.Random(23), ledger=ledger)
-    # the simulator scans the domain once; charged counts are bookkeeping only
-    assert calls == 32
-    assert outcome.found == 9
-    assert ledger.predicate_calls == sum(r.iterations + 1 for r in outcome.rounds)
-
-
 def test_deterministic_given_seed():
-    sols = {4, 31}
-    a = grover_search(64, lambda i: i in sols, random.Random(29))
-    b = grover_search(64, lambda i: i in sols, random.Random(29))
+    a = search_solutions(64, [4, 31], random.Random(29))
+    b = search_solutions(64, [4, 31], random.Random(29))
     assert a.found == b.found
     assert a.iterations_used == b.iterations_used
     assert a.rounds == b.rounds
@@ -136,7 +113,7 @@ def test_deterministic_given_seed():
 
 def test_domain_validation():
     with pytest.raises(ValueError):
-        grover_search(0, lambda i: True, random.Random(0))
+        search_solutions(0, [], random.Random(0))
 
 
 def test_schedule_probability_edge_cases():
@@ -165,14 +142,13 @@ def test_schedule_failure_bound_across_grid():
 
 def test_found_index_uniform_over_solutions():
     # chi-square goodness of fit at the 0.01 level, 3 degrees of freedom
-    solutions = (5, 21, 40, 57)
-    sol_set = set(solutions)
+    solutions = [5, 21, 40, 57]
     rng = random.Random(37)
     counts = dict.fromkeys(solutions, 0)
     runs = 10_000
     found = 0
     for _ in range(runs):
-        outcome = grover_search(64, lambda i: i in sol_set, rng)
+        outcome = search_solutions(64, solutions, rng)
         if outcome.found is not None:
             counts[outcome.found] += 1
             found += 1
@@ -187,33 +163,8 @@ def test_schedule_probability_matches_empirical():
     rng = random.Random(31)
     runs = 20000
     hits = sum(
-        grover_search(domain, lambda i: i == 5, rng).found is not None
+        search_solutions(domain, [5], rng).found is not None
         for _ in range(runs)
     )
     se = math.sqrt(max(analytic * (1 - analytic), 1e-12) / runs)
     assert abs(hits / runs - analytic) <= 4 * se + 1e-9
-
-
-def test_solution_list_form_matches_predicate_form():
-    # same outcome, same charges and the same random stream left behind
-    rng = random.Random(41)
-    for domain in (1, 2, 7, 64, 1000):
-        for t in sorted({0, 1, min(2, domain), domain // 3, domain}):
-            solutions = sorted(rng.sample(range(domain), t))
-            sol_set = set(solutions)
-            for seed in range(5):
-                by_list, by_predicate = random.Random(seed), random.Random(seed)
-                list_ledger, predicate_ledger = QueryLedger(), QueryLedger()
-                a = search_solutions(domain, solutions, by_list, 3, list_ledger)
-                b = grover_search(
-                    domain, lambda i: i in sol_set, by_predicate, 3, predicate_ledger
-                )
-                assert (a.found, a.iterations_used, a.rounds) == (
-                    b.found,
-                    b.iterations_used,
-                    b.rounds,
-                )
-                assert list_ledger == predicate_ledger
-                assert by_list.getstate() == by_predicate.getstate()
-    with pytest.raises(ValueError):
-        search_solutions(0, [], random.Random(0))

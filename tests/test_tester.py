@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import all_words, member_constructions, member_words
+from helpers import all_words, left, member_constructions, member_words, right
 from twopal import (
     OffsetSample,
     Word,
@@ -18,16 +18,14 @@ from twopal import (
     gen_far,
     gen_gamma,
     gen_member,
-    grover_search,
     icbrt,
-    left_string,
     offset_count,
     quantum_test,
     random_word,
-    right_string,
     sample_offsets,
     sqrt_grids,
 )
+from twopal.grover import search_solutions
 from twopal.ledger import QueryLedger
 from twopal.tester import (
     PREFIX_SHIFTS,
@@ -105,7 +103,7 @@ def test_offset_count_domain_errors():
 def test_sample_offsets_shape():
     sample = sample_offsets(1024, 0.1, random.Random(3))
     assert sample.m == 200
-    assert all(0 <= p < 1024 for p in sample.offsets)
+    assert all(0 <= p < 1024 for p in sample.shifts.tolist())
 
 
 @pytest.mark.parametrize("n", [4, 6, 16, 514, 1000, 1024, 1 << 21])
@@ -115,30 +113,24 @@ def test_sample_offsets_reproduces_randrange_stream_and_state(n):
         batched, reference = random.Random(seed), random.Random(seed)
         sample = sample_offsets(n, epsilon, batched)
         m = offset_count(n, epsilon)
-        assert sample.offsets == tuple(reference.randrange(n) for _ in range(m))
+        assert sample.shifts.tolist() == [reference.randrange(n) for _ in range(m)]
         assert batched.getstate() == reference.getstate()
 
 
 def test_fingerprint_frozen_examples():
     x = Word.from_text("01101001")
-    assert left_string(x, 1, OffsetSample((1, 2))) == bytes([0, 1])
-    assert left_string(x, 0, OffsetSample((1,))) == bytes([1])
-    assert right_string(x, 2, OffsetSample((1, 2))) == bytes([0, 1])
-
-
-def test_fingerprints_charge_m_reads():
-    x = Word.from_text("01101001")
-    ledger = QueryLedger()
-    left_string(x, 0, OffsetSample((1, 2, 3)), ledger)
-    right_string(x, 0, OffsetSample((1, 2, 3, 4)), ledger)
-    assert ledger.classical_reads == 7
+    assert left(x, 1, OffsetSample((1, 2))) == bytes([0, 1])
+    assert left(x, 0, OffsetSample((1,))) == bytes([1])
+    assert right(x, 2, OffsetSample((1, 2))) == bytes([0, 1])
+    assert _fingerprints(x, [1, 0], [-1, -2]) == [bytes([0, 1]), bytes([1, 0])]
+    assert _fingerprints(x, [2], [1, 2]) == [bytes([0, 1])]
 
 
 def test_uniform_word_fingerprints_uniform():
     x = Word.from_text("0000")
     sample = OffsetSample((0, 1, 2, 3, 1))
-    assert left_string(x, 2, sample) == bytes(5)
-    assert right_string(x, 2, sample) == bytes(5)
+    assert _fingerprints(x, range(4), -sample.shifts) == [bytes(5)] * 4
+    assert _fingerprints(x, range(4), sample.shifts) == [bytes(5)] * 4
 
 
 def _per_symbol(x, starts, shifts):
@@ -191,7 +183,7 @@ def test_offset_sample_is_a_read_only_int64_copy():
     sample = OffsetSample(source)
     source[0] = 7
     assert sample.shifts.dtype == np.int64
-    assert sample.offsets == (5, 1, 1023) and sample.m == 3
+    assert sample.shifts.tolist() == [5, 1, 1023] and sample.m == 3
     with pytest.raises(ValueError):
         sample.shifts[0] = 0
     with pytest.raises(ValueError):
@@ -204,18 +196,20 @@ def test_tuple_and_array_samples_fingerprint_alike():
     for n, alphabet_size in ((8, 2), (1024, 2), (1000, 3), (1 << 15, 2)):
         x = random_word(n, rng, alphabet_size)
         drawn = sample_offsets(n, 0.2, rng)
-        as_tuple = OffsetSample(drawn.offsets)
-        assert as_tuple.offsets == drawn.offsets and as_tuple.m == drawn.m
+        as_tuple = OffsetSample(tuple(drawn.shifts.tolist()))
+        assert as_tuple.m == drawn.m
         assert np.array_equal(as_tuple.shifts, drawn.shifts)
-        for i in (0, 1, n // 3, n - 1):
-            assert left_string(x, i, as_tuple) == left_string(x, i, drawn)
-            assert right_string(x, i, as_tuple) == right_string(x, i, drawn)
+        starts = (0, 1, n // 3, n - 1)
+        rows = [left(x, i, as_tuple) for i in starts]
+        columns = [right(x, j, as_tuple) for j in starts]
+        assert _fingerprints(x, starts, -drawn.shifts) == rows
+        assert _fingerprints(x, starts, drawn.shifts) == columns
 
 
 @pytest.mark.parametrize("mode", ["quantum", "classical"])
 def test_testers_give_the_same_verdicts_on_tuple_built_samples(monkeypatch, mode):
     def as_tuple(n, epsilon, rng):
-        return OffsetSample(sample_offsets(n, epsilon, rng).offsets)
+        return OffsetSample(tuple(sample_offsets(n, epsilon, rng).shifts.tolist()))
 
     run = quantum_test if mode == "quantum" else classical_test
     cases = [
@@ -293,7 +287,7 @@ def test_member_grid_pair_exists_and_collides():
             assert beta + j == target
             for _ in range(3):
                 sample = OffsetSample(tuple(rng.randrange(n) for _ in range(8)))
-                assert left_string(w, beta, sample) == right_string(w, j, sample)
+                assert left(w, beta, sample) == right(w, j, sample)
 
 
 def test_classical_accepts_every_member():
@@ -327,7 +321,7 @@ def test_found_pair_collides_on_the_sampled_offsets():
             i, j = verdict.found_pair
             grids = cube_grids(256)
             assert i in grids.i_set and j in grids.j_set
-            assert left_string(w, i, expected) == right_string(w, j, expected)
+            assert left(w, i, expected) == right(w, j, expected)
     assert hits >= 27
 
 
@@ -337,7 +331,7 @@ def test_classical_found_pair_collides():
     verdict = classical_test(w, 0.2, random.Random(4))
     assert verdict.accept
     i, j = verdict.found_pair
-    assert left_string(w, i, expected) == right_string(w, j, expected)
+    assert left(w, i, expected) == right(w, j, expected)
 
 
 # --- soundness ---------------------------------------------------------
@@ -373,13 +367,13 @@ def test_far_pair_collision_frequency():
     lefts = arr[(i_values[:, None, None] - shifts[None, :, :]) % n]
     rights = arr[(j_values[:, None, None] + shifts[None, :, :]) % n]
 
-    # tie the vectorized replica to the real fingerprint functions
+    # tie the vectorized replica to the tester's fingerprint kernel
     for s_idx in (0, 17, 4096):
-        sample = OffsetSample(tuple(int(p) for p in shifts[s_idx]))
-        for idx, i in enumerate(i_values[:3]):
-            assert bytes(lefts[idx, s_idx]) == left_string(w, int(i), sample)
-        for idx, j in enumerate(j_values[:3]):
-            assert bytes(rights[idx, s_idx]) == right_string(w, int(j), sample)
+        sample = OffsetSample(shifts[s_idx])
+        rows = _fingerprints(w, i_values[:3], -sample.shifts)
+        columns = _fingerprints(w, j_values[:3], sample.shifts)
+        assert rows == [bytes(lefts[idx, s_idx]) for idx in range(3)]
+        assert columns == [bytes(rights[idx, s_idx]) for idx in range(3)]
 
     collisions = 0
     for idx in range(len(i_values)):
@@ -429,10 +423,8 @@ def test_classical_ledger_charges_the_scan_up_to_the_first_hit():
     verdict = classical_test(w, 0.2, random.Random(4))
     sample = sample_offsets(256, 0.2, random.Random(4))
     grids = sqrt_grids(256)
-    rows = {left_string(w, i, sample) for i in grids.i_set}
-    k = next(
-        k for k, j in enumerate(grids.j_set) if right_string(w, j, sample) in rows
-    )
+    rows = {left(w, i, sample) for i in grids.i_set}
+    k = next(k for k, j in enumerate(grids.j_set) if right(w, j, sample) in rows)
     assert k > 0 and verdict.found_pair[1] == grids.j_set[k]
     assert verdict.ledger.classical_reads == (grids.step + k + 1) * sample.m
 
@@ -532,10 +524,10 @@ def _scan_hits(x, grids, sample):
     up among the rows' left fingerprints, first row per fingerprint."""
     rows = {}
     for i in grids.i_set:
-        rows.setdefault(left_string(x, i, sample), i)
+        rows.setdefault(left(x, i, sample), i)
     hits = {}
     for k, j in enumerate(grids.j_set):
-        s = right_string(x, j, sample)
+        s = right(x, j, sample)
         if s in rows:
             hits[k] = rows[s]
     return hits
@@ -543,7 +535,7 @@ def _scan_hits(x, grids, sample):
 
 def _scan_verdict(mode, x, epsilon, seed):
     """Hits and verdict fields of a tester that scans every column in full
-    and searches with the predicate form of the simulator."""
+    and searches the ascending hit columns with the simulator."""
     rng = random.Random(seed)
     sample = sample_offsets(x.n, epsilon, rng)
     ledger = QueryLedger()
@@ -552,8 +544,8 @@ def _scan_verdict(mode, x, epsilon, seed):
     hits = _scan_hits(x, grids, sample)
     rounds = []
     if mode == "quantum":
-        outcome = grover_search(
-            len(grids.j_set), lambda k: k in hits, rng, sample.m, ledger
+        outcome = search_solutions(
+            len(grids.j_set), sorted(hits), rng, sample.m, ledger
         )
         found, rounds = outcome.found, outcome.rounds
     else:
@@ -703,9 +695,9 @@ def test_worst_case_verdicts_at_large_n_are_unchanged_and_bounded():
 def _prefix_candidates(x, grids, sample):
     """Columns whose fingerprint on the first min(PREFIX_SHIFTS, m) shifts
     is some row's."""
-    head = OffsetSample(sample.offsets[:PREFIX_SHIFTS])
-    rows = {left_string(x, i, head) for i in grids.i_set}
-    return sum(right_string(x, j, head) in rows for j in grids.j_set)
+    head = OffsetSample(sample.shifts[:PREFIX_SHIFTS])
+    rows = {left(x, i, head) for i in grids.i_set}
+    return sum(right(x, j, head) in rows for j in grids.j_set)
 
 
 def test_uncharged_reads_are_bounded_and_never_charged():
