@@ -3,11 +3,16 @@
 `brute_force_member` tries every even split directly and is the trusted
 ground truth. `exact_member` reduces the question to substring search: x
 decomposes as two nonempty even palindromes iff reverse(x) occurs in the
-rotation-doubled view y(x) at an odd offset i with i+1 in [2, n-2]. It
-materializes y(x) (2n - 2 bytes) and makes at most two `bytes.find` calls:
-the occurrences of a length-n pattern in a text shorter than 2n form one
-arithmetic progression (Kociumaka, Radoszewski, Rytter and Walen, SODA 2015),
-so the first two occurrences decide whether an odd one exists.
+rotation-doubled view y(x) at an odd offset i with i+1 in [2, n-2]. An odd
+offset starts on a symbol pair, so the search runs on pairs: the text is
+y(x)[1:], whose units are the pairs (x[2k], x[2k+1]) rotated by one, and the
+pattern is reverse(x), whose units are the same pairs swapped, in reverse
+order. Over at most 16 symbols each pair packs into one byte, and one
+`bytes.find` over the n - 2 packed bytes decides, since every match is an
+odd offset. Over larger alphabets a unit is two raw bytes, and a match may
+start mid-pair; the occurrences of a length-n pattern in a text shorter than
+2n form one arithmetic progression (Kociumaka, Radoszewski, Rytter and
+Walen, SODA 2015), so the first two decide whether an aligned one exists.
 `kmp_member` is the reference it is tested against: Knuth-Morris-Pratt over
 the virtual view, charging the ledger one read per visited symbol.
 `exact_member` charges the count that reference reads, in closed form.
@@ -18,8 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
+import numpy as np
+
 from .ledger import QueryLedger
 from .words import Decomposition, RotatedDoubledView, Word
+
+
+# _SWAP_NIBBLES maps each byte c << 4 | d to d << 4 | c
+_SWAP_NIBBLES = bytes((b & 15) << 4 | b >> 4 for b in range(256))
 
 
 @dataclass(frozen=True)
@@ -112,28 +123,42 @@ def kmp_member(x: Word, ledger: Optional[QueryLedger] = None) -> MembershipResul
 
 
 def exact_member(x: Word, ledger: Optional[QueryLedger] = None) -> MembershipResult:
-    """Decide membership with at most two `find` calls on the materialized y(x).
+    """Decide membership with one `find` over packed symbol pairs, or at
+    most two over two-byte pairs.
 
-    Occurrences of reverse(x) in y(x) are i0, i0 + p, i0 + 2p, ..., so an odd
-    one exists iff i0 is odd or p is odd, and then the first odd one is i0 or
-    i0 + p; any odd start is at most n - 3, a valid split. Each find is
-    linear-time (CPython >= 3.10 falls back to two-way matching). The ledger is
-    charged what `kmp_member` reads: n for the pattern, plus i + n view
-    symbols when it stops at witness i, or all 2n - 2 when there is none.
+    A witness offset i = 2j + 1 of reverse(x) in y(x) is a match at pair j
+    of the text y(x)[1:], both read as pairs. Over at most 16 symbols the
+    pair (c, d) packs into the byte c << 4 | d, so every match is a witness
+    and the first is the smallest. Otherwise a pair is two raw bytes and the
+    matches at byte offsets b0, b0 + p, b0 + 2p, ... include an aligned one
+    iff b0 or p is even, the first such being b0 or b0 + p. Either way the
+    text is shorter than twice the pattern, so any aligned match gives
+    i <= n - 3, a valid split. Each find is linear-time (CPython >= 3.10
+    falls back to two-way matching). The ledger is charged what `kmp_member`
+    reads: n for the pattern, plus i + n view symbols when it stops at
+    witness i, or all 2n - 2 when there is none.
     """
     n = x.n
     if n < 4 or n % 2:
         return MembershipResult(False)
     s = x.symbols
-    text = s[1:] + s[:-1]
-    pattern = s[::-1]
-    i = text.find(pattern)
-    if i >= 0 and i % 2 == 0:
-        i = text.find(pattern, i + 1)
-    if i < 0 or i % 2 == 0 or i > n - 3:
+    if x.alphabet_size <= 16:
+        # the little-endian pair value d << 8 | c, shifted and folded,
+        # leaves d << 4 | c in its low byte: the pattern's unit
+        pairs = np.frombuffer(s, dtype="<u2")
+        swapped = (pairs >> 4 | pairs).astype(np.uint8).tobytes()
+        units, pattern, width = swapped.translate(_SWAP_NIBBLES), swapped[::-1], 1
+    else:
+        units, pattern, width = s, s[::-1], 2
+    text = units[width:] + units[:-width]
+    j = text.find(pattern)
+    if j >= 0 and j % width:
+        j = text.find(pattern, j + 1)
+    if j < 0 or j % width:
         if ledger is not None:
             ledger.read_classical(3 * n - 2)
         return MembershipResult(False)
+    i = 2 * (j // width) + 1
     if ledger is not None:
         ledger.read_classical(2 * n + i)
     return MembershipResult(True, Decomposition((i + 1) // 2, (n - i - 1) // 2))

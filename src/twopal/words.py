@@ -8,7 +8,9 @@ followed by x without its last symbol — is the key derived object: x belongs
 to the language iff reverse(x) occurs in y(x) at a suitable position.
 `RotatedDoubledView` computes element i on demand and charges one read per
 access; it is the text of the reference decider `kmp_member`. The fast
-decider `exact_member` materializes y(x) instead, as 2n - 2 bytes.
+decider `exact_member` never builds y(x): it searches y(x)[1:] as symbol
+pairs, n - 2 bytes when each pair packs into one byte (alphabets of at most
+16 symbols) and 2n - 4 bytes otherwise.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import all_words, member_constructions, member_words
 from twopal import (
     Decomposition,
+    distance_to_language,
     QueryLedger,
     RotatedDoubledView,
     Word,
@@ -151,7 +152,7 @@ def test_random_words_agree_with_brute_force(half_n, rng):
     assert exact_member(w).is_member == brute_force_member(w).is_member
 
 
-# --- two-find decider against the KMP reference -------------------------
+# --- fast decider against the KMP reference ----------------------------
 
 
 def decision(decider, w):
@@ -161,7 +162,7 @@ def decision(decider, w):
 
 
 def assert_matches_kmp(w):
-    assert decision(exact_member, w) == decision(kmp_member, w), w.text()
+    assert decision(exact_member, w) == decision(kmp_member, w), w.symbols.hex()
 
 
 def periodic_words(n):
@@ -201,19 +202,129 @@ def test_fast_decider_matches_kmp_periodic():
 
 
 def test_fast_decider_linear_on_periodic_words():
-    # a find-again loop over every occurrence is quadratic on these words and
-    # needs tens of seconds at this size; two find calls need milliseconds
+    # a find-again loop over every occurrence is quadratic on the periodic
+    # words and needs tens of seconds at this size; the last three are the
+    # shapes a byte-wise find was slowest on. All need milliseconds.
     n = 2**18
+    rng = random.Random(18)
     words = [
         Word(b"\x00\x01" * (n // 2)),
         Word(b"\x00\x00\x00\x01" * (n // 4)),
         Word(bytes(n)),
+        random_word(n, rng),
+        gen_gamma(n, n // 3),
+        gen_member(n // 4, n // 4, rng),
     ]
     start = time.perf_counter()
     results = [decision(exact_member, w) for w in words]
     assert time.perf_counter() - start < 2.0
-    assert [member for member, _, _ in results] == [False, False, True]
+    verdicts = [member for member, _, _ in results]
+    assert verdicts == [False, False, True, False, False, True]
     assert all(reads <= 3 * n for _, _, reads in results)
+
+
+# --- packed pairs and two-byte units ---------------------------------------
+
+
+def relabel(w, low, high, alphabet_size):
+    """w with its symbols 0 and 1 renamed to low and high."""
+    table = bytes.maketrans(b"\x00\x01", bytes([low, high]))
+    return Word(w.symbols.translate(table), alphabet_size)
+
+
+def first_find_is_misaligned(w):
+    """True when the first match of reverse(w) in y(w)[1:], read as raw
+    bytes, starts mid-pair, so a two-byte search needs its second find."""
+    s = w.symbols
+    return (s[2:] + s[:-2]).find(s[::-1]) % 2 == 1
+
+
+def test_fast_decider_matches_kmp_relabelled_binary():
+    # codes 0 and 15 fill both nibbles of a packed byte; 16 and 255 are
+    # two-byte units
+    for n in range(13):
+        for w in all_words(n):
+            assert_matches_kmp(relabel(w, 0, 15, 16))
+            assert_matches_kmp(relabel(w, 16, 255, 256))
+
+
+@pytest.mark.parametrize("alphabet_size", [16, 17, 256])
+def test_fast_decider_matches_kmp_on_large_alphabets(alphabet_size):
+    rng = random.Random(alphabet_size)
+    extremes = bytes([0, alphabet_size - 1])
+    for n in (4, 6, 18, 64, 100, 1000, 4096):
+        half = rng.randint(1, n // 2 - 1)
+        u = extremes + random_word(half, rng, alphabet_size).symbols
+        v = random_word(n // 2 - half, rng, alphabet_size).symbols
+        rest = random_word(n - 2, rng, alphabet_size).symbols
+        member = Word(u + u[::-1] + v + v[::-1], alphabet_size)
+        assert exact_member(member).is_member
+        words = [
+            member,
+            gen_member(n // 2 - 1, 1, rng, alphabet_size),
+            Word(extremes + rest, alphabet_size),
+            random_word(n + 1, rng, alphabet_size),
+        ]
+        for w in words:
+            assert_matches_kmp(w)
+
+
+def test_fast_decider_matches_kmp_periodic_large_codes():
+    # on two-byte units the first match of these words starts mid-pair, and
+    # the second find settles both verdicts: (ab)^k and (aaab)^k are not
+    # members, (aba)^k and (aaabb)^k are
+    seconds = {False: 0, True: 0}
+    a, b = b"\xc8", b"\xff"
+    for unit in (a + b, a * 3 + b, a * 2 + b, a + b + a, a * 3 + b * 2, a):
+        for n in (4, 6, 8, 10, 12, 18, 24, 30, 64, 96, 250, 1000, 1024, 4096):
+            w = Word((unit * n)[:n], 256)
+            assert_matches_kmp(w)
+            if first_find_is_misaligned(w):
+                seconds[exact_member(w).is_member] += 1
+    assert seconds[False] and seconds[True]
+
+
+@settings(max_examples=200)
+@given(st.integers(min_value=2, max_value=256), st.data())
+def test_fast_decider_matches_kmp_property(alphabet_size, data):
+    symbols = st.lists(st.integers(0, alphabet_size - 1), min_size=1, max_size=12)
+    u, v = bytes(data.draw(symbols)), bytes(data.draw(symbols))
+    word = bytes(data.draw(st.lists(st.integers(0, alphabet_size - 1), max_size=40)))
+    assert_matches_kmp(Word(u + u[::-1] + v + v[::-1], alphabet_size))
+    assert_matches_kmp(Word(u + v[::-1] + v + u[::-1], alphabet_size))
+    assert_matches_kmp(Word(word, alphabet_size))
+
+
+def benchmark_shapes(n, rng):
+    """Members split at the middle and at the edge, a uniform word, (01)^k,
+    (0001)^k, the all-zero word and a single one."""
+    return [
+        gen_member(n // 4, n // 4, rng),
+        gen_member(n // 2 - 1, 1, rng),
+        random_word(n, rng),
+        Word(b"\x00\x01" * (n // 2)),
+        Word(b"\x00\x00\x00\x01" * (n // 4)),
+        Word(bytes(n)),
+        gen_gamma(n, rng.randrange(n)),
+    ]
+
+
+def test_benchmark_shapes_match_kmp():
+    for w in benchmark_shapes(2**14, random.Random(14)):
+        assert_matches_kmp(w)
+
+
+def test_benchmark_shapes_match_distance_oracle():
+    # a member has distance 0, and its witness is the best split: both take
+    # the smallest |u|
+    n = 2**20
+    for w in benchmark_shapes(n, random.Random(20)):
+        member, witness, reads = decision(exact_member, w)
+        oracle = distance_to_language(w)
+        assert member == (oracle.distance == 0)
+        assert reads <= 3 * n
+        if member:
+            assert witness == oracle.best_split
 
 
 # --- ledger accounting -------------------------------------------------
