@@ -32,7 +32,8 @@ def _read_word_argument(args: argparse.Namespace) -> Word:
 
 def _cmd_member(args: argparse.Namespace) -> int:
     word = _read_word_argument(args)
-    result = exact_member(word, QueryLedger())
+    ledger = QueryLedger()
+    result = exact_member(word, ledger)
     witness = result.witness
     print(
         json.dumps(
@@ -40,6 +41,7 @@ def _cmd_member(args: argparse.Namespace) -> int:
                 "member": result.is_member,
                 "half_u": witness.half_u if witness else None,
                 "half_v": witness.half_v if witness else None,
+                "classical_reads": ledger.classical_reads,
             }
         )
     )

@@ -419,4 +419,8 @@ def check_assertions(report: ExperimentReport) -> list[str]:
 
 def load_config(path: str | Path) -> ExperimentConfig:
     with Path(path).open() as f:
-        return ExperimentConfig.from_dict(json.load(f))
+        try:
+            data = json.load(f)
+        except RecursionError:
+            raise ValueError(f"config {path} is nested too deeply to parse") from None
+    return ExperimentConfig.from_dict(data)

@@ -94,10 +94,22 @@ class IndexGrids:
     step: int
 
 
+# _randbelow first asks getrandbits for 32 bits per shift, and getrandbits
+# takes its bit count as a C int
+MAX_SHIFTS = (2**31 - 1) // 32
+
+
 def offset_count(n: int, epsilon: float) -> int:
-    """Fingerprint length m = ceil((2/epsilon) * log2(n))."""
+    """Fingerprint length m = ceil((2/epsilon) * log2(n)); ValueError when
+    m exceeds MAX_SHIFTS, more than one sample can draw."""
     _check_domain(n, epsilon)
-    return math.ceil((2.0 / epsilon) * math.log2(n))
+    m = (2.0 / epsilon) * math.log2(n)
+    if m > MAX_SHIFTS:
+        raise ValueError(
+            f"epsilon={epsilon} needs m={m:.3g} shifts at n={n}, "
+            f"more than the {MAX_SHIFTS} one sample can draw"
+        )
+    return math.ceil(m)
 
 
 def sample_offsets(n: int, epsilon: float, rng: random.Random) -> OffsetSample:

@@ -8,9 +8,12 @@ followed by x without its last symbol — is the key derived object: x belongs
 to the language iff reverse(x) occurs in y(x) at a suitable position.
 `RotatedDoubledView` computes element i on demand and charges one read per
 access; it is the text of the reference decider `kmp_member`. The fast
-decider `exact_member` never builds y(x): it searches y(x)[1:] as symbol
-pairs, n - 2 bytes when each pair packs into one byte (alphabets of at most
-16 symbols) and 2n - 4 bytes otherwise.
+decider `exact_member` never builds y(x). A binary word whose length is a
+multiple of 8 and at least PACK_MIN is searched as bits, eight symbols to a
+byte: four texts of at most n/4 bytes, x rotated by 2, 4, 6 and 8 symbols
+and packed. Every other word is searched as symbol pairs of y(x)[1:], n - 2
+bytes when each pair packs into one byte (alphabets of at most 16 symbols)
+and 2n - 4 bytes otherwise.
 """
 
 from __future__ import annotations

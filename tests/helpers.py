@@ -43,3 +43,11 @@ def right(x, j, sample):
     symbol at a time: the reference for the tester's gathered columns."""
     s, n = x.symbols, x.n
     return bytes([s[(j + p) % n] for p in sample.shifts.tolist()])
+
+
+def mirrored_pairs_agree(x, d):
+    """True iff x[i] == x[(2|u| - 1 - i) mod n] for every index i, checked
+    one index at a time: the reference for check_symmetric_characterization."""
+    s, n = x.symbols, x.n
+    target = (2 * d.half_u - 1) % n
+    return all(s[i] == s[(target - i) % n] for i in range(n))

@@ -14,13 +14,20 @@ EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 def test_member_json(capsys):
     assert main(["member", "01101001"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out == {"member": True, "half_u": 2, "half_v": 2}
+    # the witness offset is i = 3: 2n + i reads
+    assert out == {"member": True, "half_u": 2, "half_v": 2, "classical_reads": 19}
 
 
 def test_member_json_non_member(capsys):
     assert main(["member", "0101"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out == {"member": False, "half_u": None, "half_v": None}
+    # no witness: 3n - 2 reads
+    assert out == {
+        "member": False,
+        "half_u": None,
+        "half_v": None,
+        "classical_reads": 10,
+    }
 
 
 def test_distance_json(capsys):
@@ -53,6 +60,14 @@ def test_bad_symbol_in_a_large_file_gives_a_short_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'x' at index 1048576" in err
     assert all(len(line.encode()) < 200 for line in err.splitlines())
+
+
+def test_tiny_epsilon_is_a_usage_error(capsys):
+    # m = ceil((2 / epsilon) log2 n) shifts is far more than one sample draws
+    assert main(["test", "0110", "--epsilon", "1e-300"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: epsilon=1e-300 needs m=")
+    assert len(err.splitlines()) == 1
 
 
 def test_test_subcommand_json_lines(capsys):
@@ -111,7 +126,12 @@ def test_member_and_distance_read_word_from_file(tmp_path, capsys):
     witness = exact_member(word).witness
     assert main(["member", str(path)]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out == {"member": True, "half_u": witness.half_u, "half_v": witness.half_v}
+    assert out == {
+        "member": True,
+        "half_u": witness.half_u,
+        "half_v": witness.half_v,
+        "classical_reads": 2 * 2**18 + 2 * witness.half_u - 1,
+    }
     assert witness.half_u + witness.half_v == 2**17
     assert main(["distance", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["distance"] == 0
@@ -247,6 +267,29 @@ def test_experiment_out_of_range_config_is_a_usage_error(tmp_path, capsys, extra
     out = tmp_path / "report.csv"
     assert main(["experiment", "--config", str(config), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_experiment_tiny_epsilon_is_a_usage_error(tmp_path, capsys):
+    raw = {"sizes": [16], "epsilons": [1e-300], "trials": 2, "modes": ["quantum"]}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "report.csv"
+    assert main(["experiment", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: epsilon=1e-300 needs m=")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_experiment_deeply_nested_config_is_a_usage_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text("[" * 100_000)
+    out = tmp_path / "report.csv"
+    assert main(["experiment", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nested too deeply" in err
+    assert len(err.splitlines()) == 1
     assert not out.exists()
 
 

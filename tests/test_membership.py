@@ -4,7 +4,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import all_words, member_constructions, member_words
+from helpers import all_words, member_constructions, member_words, mirrored_pairs_agree
+from twopal import membership
 from twopal import (
     Decomposition,
     distance_to_language,
@@ -223,6 +224,96 @@ def test_fast_decider_linear_on_periodic_words():
     assert all(reads <= 3 * n for _, _, reads in results)
 
 
+# --- bit-packed phases -----------------------------------------------------
+
+
+def test_pack_min_is_pinned():
+    assert membership.PACK_MIN == 2**15
+
+
+def count_packbits(monkeypatch):
+    calls = []
+    packbits = membership.np.packbits
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return packbits(*args, **kwargs)
+
+    monkeypatch.setattr(membership.np, "packbits", counting)
+    return calls
+
+
+@pytest.mark.parametrize("pack_min", [8, membership.PACK_MIN])
+def test_bit_path_runs_exactly_for_long_binary_multiples_of_eight(
+    monkeypatch, pack_min
+):
+    monkeypatch.setattr(membership, "PACK_MIN", pack_min)
+    calls = count_packbits(monkeypatch)
+    rng = random.Random(pack_min)
+    lengths = {4, 6, 8, 16, 24, pack_min - 8, pack_min - 2, pack_min}
+    lengths |= {pack_min + k for k in (1, 2, 4, 6, 8, 16)}
+    for n in sorted(k for k in lengths if k >= 4):
+        for alphabet_size in (2, 3, 16, 256):
+            words = [random_word(n, rng, alphabet_size), Word(bytes(n), alphabet_size)]
+            if n % 2 == 0:
+                h = rng.randint(1, n // 2 - 1)
+                words.append(gen_member(h, n // 2 - h, rng, alphabet_size))
+            for w in words:
+                before = len(calls)
+                exact_member(w)
+                packed = alphabet_size == 2 and n % 8 == 0 and n >= pack_min
+                assert len(calls) - before == packed, (n, alphabet_size)
+
+
+def test_bit_path_matches_kmp_exhaustive(monkeypatch):
+    monkeypatch.setattr(membership, "PACK_MIN", 8)
+    for n in (8, 16):
+        for w in all_words(n):
+            assert_matches_kmp(w)
+
+
+def test_bit_path_matches_kmp_seeded_in_every_phase(monkeypatch):
+    monkeypatch.setattr(membership, "PACK_MIN", 8)
+    rng = random.Random(2016)
+    phases = set()
+    for n in [*range(24, 129, 8), 256, 1000, 1024, 4096]:
+        for half in {1, 2, 3, 4, rng.randint(1, n // 2 - 1), n // 2 - 1}:
+            w = gen_member(half, n // 2 - half, rng)
+            assert_matches_kmp(w)
+            phases.add((exact_member(w).witness.half_u - 1) % 4)
+        assert_matches_kmp(random_word(n, rng))
+    assert phases == {0, 1, 2, 3}
+
+
+def splits(w):
+    """Every witness pair index j = |u| - 1, by brute force."""
+    s, n = w.symbols, w.n
+    return [
+        a - 1
+        for a in range(1, n // 2)
+        if s[: 2 * a] == s[: 2 * a][::-1] and s[2 * a :] == s[2 * a :][::-1]
+    ]
+
+
+def test_bit_path_later_phase_holds_the_smaller_witness(monkeypatch):
+    # phase 0 finds j = 4 first; phase 1 must still find the smaller j = 1
+    monkeypatch.setattr(membership, "PACK_MIN", 8)
+    w = Word.from_text("011" * 8)
+    assert splits(w) == [1, 4, 7, 10]
+    assert exact_member(w).witness == Decomposition(2, 10)
+    for n in (24, 48, 96, 1008, 4080):
+        assert_matches_kmp(Word.from_text(("011" * n)[:n]))
+
+
+def test_bit_path_matches_kmp_periodic(monkeypatch):
+    monkeypatch.setattr(membership, "PACK_MIN", 8)
+    for n in (8, 16, 24, 32, 64, 96, 1000, 1024, 4096):
+        for w in periodic_words(n):
+            assert_matches_kmp(w)
+        for unit in ("011", "0110", "00111", "0001011"):
+            assert_matches_kmp(Word.from_text((unit * n)[:n]))
+
+
 # --- packed pairs and two-byte units ---------------------------------------
 
 
@@ -358,6 +449,17 @@ def test_characterization_frozen_examples():
     assert not check_symmetric_characterization(
         Word.from_text("0010"), Decomposition(1, 1)
     )
+
+
+def test_characterization_matches_per_index_reference():
+    for alphabet_size, top in ((3, 8), (2, 10)):
+        for n in range(4, top + 1, 2):
+            for w in all_words(n, alphabet_size):
+                for a in range(1, n // 2):
+                    d = Decomposition(a, n // 2 - a)
+                    assert check_symmetric_characterization(
+                        w, d
+                    ) == mirrored_pairs_agree(w, d)
 
 
 def test_characterization_holds_for_all_member_witnesses():
