@@ -5,12 +5,16 @@ ground truth. `exact_member` reduces the question to substring search: x
 decomposes as two nonempty even palindromes iff reverse(x) occurs in the
 rotation-doubled view y(x) at an odd offset i with i+1 in [2, n-2], that is,
 iff reverse(x) equals x rotated left by i + 1 = 2j + 2 symbols for some
-0 <= j <= n/2 - 2. Binary words whose length is a multiple of 8 and at least
-PACK_MIN are searched as bits, eight symbols to a byte: the pattern is
-reverse(x) packed, and for each phase f = j mod 4 the text is x read
-cyclically from symbol 2 + 2f, packed, so a match at byte q is j = 4q + f.
-Four finds over texts of at most n/4 bytes decide, the smallest j over the
-phases being the first witness. Every other word (alphabets above 2, lengths
+0 <= j <= n/2 - 2. Both palindromes of a member have even length, so every
+mirror pair joins an even and an odd position, and a member holds each
+symbol as often at even positions as at odd ones. Binary words are screened
+on this before any search: a word that fails it is a non-member. Binary
+words whose length is a multiple of 8 and at least PACK_MIN are searched as
+bits, eight symbols to a byte: the pattern is reverse(x) packed, and for
+each phase f = j mod 4 the text is x read cyclically from symbol 2 + 2f,
+packed, so a match at byte q is j = 4q + f. Four finds over texts of at
+most n/4 bytes decide, the smallest j over the phases being the first
+witness. Every other word (alphabets above 2, lengths
 not a multiple of 8, words shorter than PACK_MIN) is searched as symbol
 pairs: the text is y(x)[1:], whose units are the pairs (x[2k], x[2k+1])
 rotated by one, and the pattern is reverse(x), whose units are the same
@@ -151,6 +155,10 @@ def _pair_witness(x: Word) -> int:
     iff b0 or p is even, the first such being b0 or b0 + p. Either way the
     text is shorter than twice the pattern, so any aligned match gives
     i <= n - 3, a valid split.
+
+    A binary word is screened first: a member's mirror pairs each join an
+    even and an odd position, so it has as many pairs (1, 0) as (0, 1), and
+    a word with unequal counts returns -1 before any text is built.
     """
     s = x.symbols
     if x.alphabet_size <= 16:
@@ -158,6 +166,9 @@ def _pair_witness(x: Word) -> int:
         # leaves d << 4 | c in its low byte: the pattern's unit
         pairs = np.frombuffer(s, dtype="<u2")
         swapped = (pairs >> 4 | pairs).astype(np.uint8).tobytes()
+        # parity screen: a binary member has as many pairs (1, 0) as (0, 1)
+        if x.alphabet_size == 2 and swapped.count(0x01) != swapped.count(0x10):
+            return -1
         units, pattern, width = swapped.translate(_SWAP_NIBBLES), swapped[::-1], 1
     else:
         units, pattern, width = s, s[::-1], 2
@@ -182,10 +193,19 @@ def _bit_witness(x: Word) -> int:
     ring; a match at byte q is j = 4q + f. Each phase stops its find where j
     would pass the smallest witness so far (at first the last valid one,
     n/2 - 2), so the smallest j over the four phases is the first witness.
+
+    The packed word is screened first: a member's mirror pairs each join an
+    even and an odd position, so it holds as many ones at even positions as
+    at odd ones, and a word with unequal counts returns -1 before the
+    pattern or the ring is built.
     """
     n = x.n
     size = n // 8
     packed = np.packbits(np.frombuffer(x.symbols, dtype=np.uint8))
+    # parity screen: packbits is big-endian, so the 0xAA bits hold the
+    # symbols at even positions and the 0x55 bits those at odd ones
+    if np.bitwise_count(packed & 0xAA).sum() != np.bitwise_count(packed & 0x55).sum():
+        return -1
     pattern = packed[::-1].tobytes().translate(_REVERSE_BITS)
     ring = np.concatenate((packed, packed))
     best = n // 2 - 1
@@ -216,9 +236,13 @@ def exact_member(x: Word, ledger: Optional[QueryLedger] = None) -> MembershipRes
     searched as symbol pairs (see _pair_witness): one find over n - 2 packed
     bytes when pairs pack into a byte, at most two over two-byte pairs. Each
     find is linear-time (CPython >= 3.10 falls back to two-way matching).
-    Both searches return the smallest witness offset i, so the ledger is
+    Both first screen a binary word on parity: a member's mirror pairs each
+    join an even and an odd position, so a word whose ones are not split
+    evenly between even and odd positions is a non-member, rejected without
+    a search. Both return the smallest witness offset i, so the ledger is
     charged what `kmp_member` reads: n for the pattern, plus i + n view
-    symbols when it stops at witness i, or all 2n - 2 when there is none.
+    symbols when it stops at witness i, or all 2n - 2 when there is none,
+    screened words included.
     """
     n = x.n
     if n < 4 or n % 2:

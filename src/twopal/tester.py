@@ -21,10 +21,14 @@ are the simulation's own; they are counted as uncharged reads and never
 charged.
 
 For a member some grid pair matches on every shift, for any shift sample.
-For a word epsilon-far from the language, a fixed pair matches all m random
-shifts with probability at most (1 - epsilon)^m <= n^-2, so with m =
-ceil((2/epsilon) * log2(n)) shifts the whole search space is empty with
-probability near 1.
+For a word epsilon-far from the language, a fixed pair whose axis i + j is
+odd and not n - 1 matches all m random shifts with probability at most
+(1 - epsilon)^m <= n^-2, so with m = ceil((2/epsilon) * log2(n)) shifts no
+such pair survives with probability near 1. The bound says nothing about
+pairs on an even axis or on axis n - 1, which certify no split: a word
+symmetric about such an axis matches on every shift however far it is, so
+(01)^(n/2) is accepted at every n (README "Known soundness gap"). Both
+testers still search those pairs; filtering them out is ROADMAP item 1.
 """
 
 from __future__ import annotations

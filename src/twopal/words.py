@@ -41,13 +41,25 @@ _TO_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 class Word:
     """Immutable sequence of symbol codes, binary by default.
 
-    Symbols are stored packed (one byte each) so random access is O(1).
+    Symbols are stored packed (one byte each) so random access is O(1). Any
+    bytes-like input of one-byte items (bytearray, memoryview, a uint8
+    array) is stored as a bytes copy; anything else raises ValueError.
     """
 
     symbols: bytes
     alphabet_size: int = 2
 
     def __post_init__(self) -> None:
+        if type(self.symbols) is not bytes:
+            # a wider item (an int64 array, say) would be read as several
+            # symbols, and a bytearray would stay mutable and unhashable
+            try:
+                view = memoryview(self.symbols)
+            except TypeError:
+                view = None
+            if view is None or view.itemsize != 1:
+                raise ValueError("symbols must be bytes-like with one-byte items")
+            object.__setattr__(self, "symbols", view.tobytes())
         if not 2 <= self.alphabet_size <= 256:
             raise ValueError("alphabet needs 2 to 256 symbols, one byte each")
         codes = np.frombuffer(self.symbols, dtype=np.uint8)

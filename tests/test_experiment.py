@@ -271,7 +271,8 @@ def test_skipped_cell_reported(tmp_path):
 
     csv_path = tmp_path / "skip.csv"
     emit_report(report, csv_path, "csv")
-    rows = list(csv.reader(csv_path.open()))
+    with csv_path.open() as f:
+        rows = list(csv.reader(f))
     assert rows[1][4] == "0"
     assert rows[1][5] == ""
 
@@ -288,8 +289,8 @@ def test_csv_shape_and_determinism(tmp_path):
     emit_report(report, path_a, "csv")
     emit_report(run_experiment(config), path_b, "csv")
 
-    rows_a = list(csv.reader(path_a.open()))
-    rows_b = list(csv.reader(path_b.open()))
+    with path_a.open() as fa, path_b.open() as fb:
+        rows_a, rows_b = list(csv.reader(fa)), list(csv.reader(fb))
     assert rows_a[0] == list(CSV_COLUMNS)
     assert len(rows_a) == len(report.cells) + 1
     # identical modulo the wall-clock seconds column

@@ -314,6 +314,86 @@ def test_bit_path_matches_kmp_periodic(monkeypatch):
             assert_matches_kmp(Word.from_text((unit * n)[:n]))
 
 
+# --- parity screen -----------------------------------------------------------
+
+
+def parity_balanced(w):
+    """True iff every symbol occurs as often at even positions as at odd
+    ones."""
+    return sorted(w.symbols[0::2]) == sorted(w.symbols[1::2])
+
+
+def test_members_are_parity_balanced():
+    # both palindromes have even length, so each mirror pair joins an even
+    # and an odd position
+    for alphabet_size, top in ((2, 16), (3, 8)):
+        for n in range(4, top + 1, 2):
+            for w in all_words(n, alphabet_size):
+                if brute_force_member(w).is_member:
+                    assert parity_balanced(w), w.symbols.hex()
+    rng = random.Random(17)
+    for alphabet_size in (2, 3, 16, 256):
+        for n in (4, 18, 64, 1000, 1026, 4096, 2**15):
+            for half in {1, rng.randint(1, n // 2 - 1), n // 2 - 1}:
+                w = gen_member(half, n // 2 - half, rng, alphabet_size)
+                assert parity_balanced(w), (n, alphabet_size, half)
+
+
+def balanced_non_members(n, rng):
+    """Parity-balanced binary non-members: uniform words with ones cleared
+    on the heavier parity until the counts agree, and words whose two ones
+    at k and n - 1 - k sit on the axis n - 1, which certifies no split."""
+    words = []
+    for _ in range(3):
+        s = bytearray(random_word(n, rng).symbols)
+        excess = sum(s[0::2]) - sum(s[1::2])
+        heavy = [i for i in range(excess < 0, n, 2) if s[i]]
+        for i in rng.sample(heavy, abs(excess)):
+            s[i] = 0
+        words.append(Word(s))
+    for k in (0, rng.randrange(n // 2)):
+        s = bytearray(n)
+        s[k] = s[n - 1 - k] = 1
+        words.append(Word(s))
+    return words
+
+
+@pytest.mark.parametrize("n", [membership.PACK_MIN, 1024, 1026])
+def test_parity_screen_rejects_before_any_text_is_built(monkeypatch, n):
+    rng = random.Random(n)
+    half = rng.randint(1, n // 2 - 1)
+    unbalanced = [
+        random_word(n, rng),
+        Word((b"\x00\x01" * n)[:n]),
+        Word((b"\x00\x00\x00\x01" * n)[:n]),
+        gen_gamma(n, rng.randrange(n)),
+    ]
+    balanced = [gen_member(half, n // 2 - half, rng), *balanced_non_members(n, rng)]
+    calls = count_packbits(monkeypatch)
+    # both searches start their pattern and text by translating through one
+    # of these tables, and an empty table makes `translate` raise
+    monkeypatch.setattr(membership, "_REVERSE_BITS", b"")
+    monkeypatch.setattr(membership, "_SWAP_NIBBLES", b"")
+    for w in unbalanced:
+        assert not parity_balanced(w)
+        assert decision(exact_member, w) == (False, None, 3 * n - 2)
+    for w in balanced:
+        with pytest.raises(ValueError, match="translation table"):
+            exact_member(w)
+    bit_path = n % 8 == 0 and n >= membership.PACK_MIN
+    assert len(calls) == bit_path * (len(unbalanced) + len(balanced))
+
+
+@pytest.mark.parametrize("n", [1026, membership.PACK_MIN, 2**17])
+def test_balanced_non_members_match_kmp(n):
+    # the screen passes these, so they reach the phase finds (or the pair
+    # find at 1026) and are searched to the end
+    for w in balanced_non_members(n, random.Random(n)):
+        assert parity_balanced(w)
+        assert not exact_member(w).is_member
+        assert_matches_kmp(w)
+
+
 # --- packed pairs and two-byte units ---------------------------------------
 
 

@@ -11,6 +11,7 @@ from twopal import (
     RotatedDoubledView,
     Word,
     distance_to_language,
+    exact_member,
     gen_sigma,
     quantum_test,
     random_word,
@@ -108,6 +109,34 @@ def test_word_rejects_alphabet_outside_one_byte(alphabet_size):
         Word(b"", alphabet_size)
     with pytest.raises(ValueError):
         Word(b"\x00\x01", alphabet_size)
+
+
+def test_word_copies_bytes_like_symbols_to_bytes():
+    # 00110011 is 00 + 110011: a member, splitting as |u| = 1
+    source = bytearray([0, 0, 1, 1] * 2)
+    for symbols in (
+        source,
+        memoryview(source),
+        np.array([0, 0, 1, 1] * 2, dtype=np.uint8),
+    ):
+        w = Word(symbols)
+        assert type(w.symbols) is bytes and w.symbols == bytes(source)
+        assert w.n == 8 and hash(w) == hash(Word(bytes(source)))
+        assert exact_member(w).is_member
+        assert distance_to_language(w).distance == 0
+    w = Word(source)
+    source[0] = 1
+    assert w.symbols == b"\x00\x00\x01\x01" * 2
+
+
+@pytest.mark.parametrize(
+    "symbols",
+    [np.array([0, 0, 1, 1] * 2), "00110011", [0, 0, 1, 1], 8],
+    ids=["int64-array", "str", "list", "int"],
+)
+def test_word_rejects_symbols_that_are_not_one_byte_items(symbols):
+    with pytest.raises(ValueError, match="one-byte items"):
+        Word(symbols)
 
 
 def test_word_text_round_trip():
