@@ -18,11 +18,12 @@ integer sum over symbols of count_even * count_odd.
 Half-lengths above BLOCK_CUTOVER run each transform blocked, as a four-step
 FFT (Bailey, "FFTs in external or hierarchical memory", 1990) on the
 h = N1 x N2 factoring of the sequence, N1 being h's largest divisor not
-above sqrt(h) (1024 x 1024 at n = 2^21). Each half's indicator is written
-as an N2 x N1 grid whose cell [j2, j1] holds position N2 * j1 + j2, so that
-both real passes run along contiguous rows: a length-N1 rfft along each row,
-one multiply by the twiddles W_h^(j2 * k1) and a complex length-N2 fft down
-each column, every transform short enough to stay in cache. The spectrum is
+above sqrt(h) (1024 x 1024 at n = 2^21). Each half's indicator is written,
+INDICATOR_TILE columns at a time, as an N2 x N1 grid whose cell [j2, j1]
+holds position N2 * j1 + j2, so that both real passes run along contiguous
+rows: a length-N1 rfft along each row, one multiply by the twiddles
+W_h^(j2 * k1) and a complex length-N2 fft down each column, every transform
+short enough to stay in cache. The spectrum is
 left in the permuted order, position [k2, k1] holding frequency
 k1 + N1 * k2, because the convolution only multiplies spectra pointwise;
 the inverse runs the same steps backwards (ifft down each column, the
@@ -174,10 +175,21 @@ def _plan(h: int) -> _Plan:
     return plan
 
 
+# a blocked indicator is written this many grid columns at a time. Along a
+# grid row the half is read with a stride of 2 * N2 bytes, so one write over
+# the whole grid reloads each cache line of the half once per row it serves;
+# a tile this narrow keeps its lines cached until every row has used them
+# (at n = 2^21 on a 2-core x86 host, 1.7 ms per indicator against 2.6 ms)
+INDICATOR_TILE = 64
+
+
 def _indicator(half: np.ndarray, sym: int, out: np.ndarray) -> tuple[np.ndarray, int]:
-    """Write half == sym as floats into out; return it and its count."""
-    ind = np.equal(half, sym, out=out)
-    return ind, int(ind.sum())
+    """Write half == sym as floats into out; return it and its count. A
+    single-row grid, the (h, 1) shape, is written in one call."""
+    tile = INDICATOR_TILE if out.shape[0] > 1 else out.shape[1]
+    for j in range(0, out.shape[1], tile):
+        np.equal(half[:, j : j + tile], sym, out=out[:, j : j + tile])
+    return out, int(out.sum())
 
 
 def _twiddle(

@@ -14,8 +14,9 @@ until a measurement hits a solution or a hard cap of
 ceil(CAP_MULTIPLIER * sqrt(N)) total iterations is spent. Both are fixed
 constants, not settings, because the error bound the tester relies on holds
 for exactly these values. Each round charges its iterations plus one
-verification evaluation; with no solutions the full cap is charged, mirroring
-a real run that cannot stop early.
+verification evaluation, all booked once when the search ends; with no
+solutions the full cap is charged, mirroring a real run that cannot stop
+early.
 
 The round loop, search_solutions, takes the solution indices from its caller:
 the tester finds them privately, and uncharged, with its column-hit kernel.
@@ -90,8 +91,9 @@ def search_solutions(
 
     Every charged predicate evaluation costs cost_per_call input queries on
     the ledger: k + 1 per round (k iterations plus the verification
-    measurement), or the flat iteration cap when there are no solutions. On
-    success the returned index is uniform over the solutions.
+    measurement), summed over the rounds and booked once when the search
+    ends, or the flat iteration cap when there are no solutions. On success
+    the returned index is uniform over the solutions.
     """
     if domain_size < 1:
         raise ValueError("domain must be nonempty")
@@ -115,12 +117,14 @@ def search_solutions(
         p = round_success_probability(k, theta)
         rounds.append(RoundTrace(k, p))
         used += k
-        if ledger is not None:
-            ledger.charge_predicate(k + 1)
-            ledger.charge_quantum((k + 1) * cost_per_call)
         if rng.random() < p:
             found = solutions[rng.randrange(t)]
             break
+    if ledger is not None:
+        # used + len(rounds) is the sum of k + 1 over the rounds
+        evaluations = used + len(rounds)
+        ledger.charge_predicate(evaluations)
+        ledger.charge_quantum(evaluations * cost_per_call)
     return GroverOutcome(found=found, iterations_used=used, rounds=rounds)
 
 

@@ -266,8 +266,11 @@ def check_symmetric_characterization(x: Word, d: Decomposition) -> bool:
 
     For a genuine member with a correct witness this always holds: such pairs
     are exactly the positions mirrored about one of the two palindrome
-    centers. Index i's partner 2|u| - 1 - i is index i of reverse(x) rotated
-    right by 2|u|, so one array comparison checks every pair.
+    centers. With s = 2|u| mod n, index i < s pairs with s - 1 - i and
+    index i >= s with n + s - 1 - i, so x[:s] and x[s:] must each equal
+    its own reverse; both comparisons read the word in place.
     """
     a = np.frombuffer(x.symbols, dtype=np.uint8)
-    return np.array_equal(a, np.roll(a[::-1], 2 * d.half_u))
+    s = (2 * d.half_u) % x.n
+    left, right = a[:s], a[s:]
+    return np.array_equal(left, left[::-1]) and np.array_equal(right, right[::-1])

@@ -33,6 +33,7 @@ testers still search those pairs; filtering them out is ROADMAP item 1.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -136,6 +137,14 @@ def sqrt_grids(n: int) -> IndexGrids:
     return IndexGrids(range(step), range(0, n, step), step)
 
 
+# a run gathers rows of two widths, m and the prefix; the bound only keeps
+# a long process that sweeps many (n, epsilon) cells from growing the cache
+@functools.lru_cache(maxsize=64)
+def _row_dtype(width: int) -> np.dtype:
+    """One void item of width bytes, which tolist() returns as bytes."""
+    return np.dtype((np.void, width))
+
+
 def _fingerprints(
     x: Word, starts: Sequence[int] | np.ndarray, shifts: Sequence[int] | np.ndarray
 ) -> list[bytes]:
@@ -145,9 +154,8 @@ def _fingerprints(
         # np.asarray walks a range item by item; np.arange does not
         starts = np.arange(starts.start, starts.stop, starts.step, dtype=np.int64)
     idx = np.add.outer(np.asarray(starts, dtype=np.int64), shifts)
-    block = np.take(np.frombuffer(x.symbols, np.uint8), idx, mode="wrap")
-    # one void item per row, which tolist() returns as bytes
-    return block.view(np.dtype((np.void, block.shape[1]))).ravel().tolist()
+    block = np.frombuffer(x.symbols, np.uint8).take(idx, mode="wrap")
+    return block.view(_row_dtype(block.shape[1])).ravel().tolist()
 
 
 @dataclass(frozen=True)
@@ -169,11 +177,9 @@ def _build_left_table(
 ) -> dict[bytes, int]:
     """Map each row's left fingerprint to the first row that has it."""
     ledger.read_classical(len(grids.i_set) * sample.m)
-    rows: dict[bytes, int] = {}
     left = _fingerprints(x, grids.i_set, -sample.shifts)
-    for i, s in zip(grids.i_set, left):
-        rows.setdefault(s, i)
-    return rows
+    # built backwards, so the first row with a fingerprint is the last write
+    return dict(zip(reversed(left), reversed(grids.i_set)))
 
 
 # columns are screened on this many shifts before any full fingerprint
@@ -192,14 +198,17 @@ def _column_hits(
 
     Every column's fingerprint on the first PREFIX_SHIFTS shifts is looked up
     among the rows' prefixes first; only the columns that pass get a full
-    fingerprint. The symbols read here find the search's solutions and go
-    to ledger.uncharged_reads, never to a charged count.
+    fingerprint, and when none passes nothing more is read. The symbols
+    read here find the search's solutions and go to ledger.uncharged_reads,
+    never to a charged count.
     """
     width = min(PREFIX_SHIFTS, sample.m)
     prefixes = {key[:width] for key in rows}
     heads = _fingerprints(x, j_set, sample.shifts[:width])
     candidates = [k for k, head in enumerate(heads) if head in prefixes]
     ledger.read_uncharged(len(j_set) * width)
+    if not candidates:
+        return {}
     if width < sample.m:
         ledger.read_uncharged(len(candidates) * sample.m)
         columns = _fingerprints(x, [j_set[k] for k in candidates], sample.shifts)

@@ -24,8 +24,11 @@ from twopal import (
 )
 from twopal.distance import (
     BLOCK_CUTOVER,
+    INDICATOR_TILE,
     DistanceResult,
     _block_shape,
+    _indicator,
+    _plan,
     _workspace,
     mismatched_pairs,
 )
@@ -601,3 +604,29 @@ def test_real_passes_run_along_contiguous_rows(monkeypatch, h):
     assert [name for name, *_ in layouts] == names
     for name, ndim, axis, rows_in, rows_out in layouts:
         assert (ndim, axis, rows_in, rows_out) == (2, 1, True, True), name
+
+
+@pytest.mark.parametrize(
+    "h, shape",
+    [
+        (512, (512, 1)),
+        (16385, (113, 145)),
+        (1 << 15, (128, 256)),
+        (1 << 20, (1024, 1024)),
+    ],
+)
+def test_tiled_indicator_equals_the_one_call_write(h, shape):
+    # blocked grids are written INDICATOR_TILE columns at a time, the last
+    # tile short when N1 is not a multiple of it; a single-row grid at once
+    assert _block_shape(h) == shape
+    assert shape[1] == 1 or shape[0] > INDICATOR_TILE
+    arr = np.random.default_rng(h).integers(0, 3, 2 * h, dtype=np.uint8)
+    plan = _plan(h)
+    out = plan.reals[1]
+    for half in arr.reshape(*plan.shape, 2).T:
+        for sym in range(3):
+            expected = np.equal(half, sym).astype(np.float64)
+            ind, count = _indicator(half, sym, out)
+            assert ind is out
+            assert np.array_equal(ind, expected)
+            assert count == int(np.count_nonzero(half == sym))

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -540,6 +541,31 @@ def test_characterization_matches_per_index_reference():
                     assert check_symmetric_characterization(
                         w, d
                     ) == mirrored_pairs_agree(w, d)
+
+
+def test_characterization_reduces_half_u_modulo_n():
+    # |u| is not bounded by n / 2 here: the pairs sum to 2|u| - 1 mod n
+    for n in range(4, 11, 2):
+        for w in all_words(n):
+            for a in range(1, 2 * n + 1):
+                d = Decomposition(a, 1)
+                assert check_symmetric_characterization(w, d) == mirrored_pairs_agree(
+                    w, d
+                )
+
+
+def test_characterization_reads_the_word_in_place():
+    n = 1 << 20
+    d = Decomposition(n // 4 + 1, n // 4 - 1)
+    w = gen_member(d.half_u, d.half_v, random.Random(97))
+    tracemalloc.start()
+    try:
+        assert check_symmetric_characterization(w, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one boolean comparison of at most n bytes, no copy of the word
+    assert peak <= n + 64 * 1024
 
 
 def test_characterization_holds_for_all_member_witnesses():

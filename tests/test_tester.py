@@ -19,6 +19,7 @@ from twopal import (
     gen_gamma,
     gen_member,
     icbrt,
+    is_eps_far,
     offset_count,
     quantum_test,
     random_word,
@@ -27,6 +28,7 @@ from twopal import (
 )
 from twopal.grover import search_solutions
 from twopal.ledger import QueryLedger
+from twopal import tester
 from twopal.tester import (
     PREFIX_SHIFTS,
     _build_left_table,
@@ -692,12 +694,17 @@ def test_worst_case_verdicts_at_large_n_are_unchanged_and_bounded():
     assert time.perf_counter() - start < 10.0
 
 
-def _prefix_candidates(x, grids, sample):
-    """Columns whose fingerprint on the first min(PREFIX_SHIFTS, m) shifts
-    is some row's."""
+def _prefix_columns(x, grids, sample):
+    """Indices k of the columns whose fingerprint on the first
+    min(PREFIX_SHIFTS, m) shifts is some row's."""
     head = OffsetSample(sample.shifts[:PREFIX_SHIFTS])
     rows = {left(x, i, head) for i in grids.i_set}
-    return sum(right(x, j, head) in rows for j in grids.j_set)
+    return [k for k, j in enumerate(grids.j_set) if right(x, j, head) in rows]
+
+
+def _prefix_candidates(x, grids, sample):
+    """How many columns pass the prefix screen."""
+    return len(_prefix_columns(x, grids, sample))
 
 
 def test_uncharged_reads_are_bounded_and_never_charged():
@@ -741,3 +748,70 @@ def test_quantum_verdict_carries_its_rounds():
     far = gen_far(1024, 0.1, random.Random(79))
     assert quantum_test(far, 0.1, random.Random(81)).rounds == []
     assert classical_test(w, 0.1, random.Random(73)).rounds == []
+
+
+# --- fixed costs the kernel skips ----------------------------------------
+
+
+def _spy_on_fingerprints(monkeypatch):
+    """Record the starts of every _fingerprints call the tester makes."""
+    calls = []
+
+    def spy(x, starts, shifts):
+        calls.append(list(starts))
+        return _fingerprints(x, starts, shifts)
+
+    monkeypatch.setattr(tester, "_fingerprints", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1024, 2**15])
+@pytest.mark.parametrize("make_grids", [cube_grids, sqrt_grids])
+def test_no_column_past_the_prefix_reads_nothing_more(monkeypatch, n, make_grids):
+    far = gen_far(n, 0.1, random.Random(n))
+    assert is_eps_far(far, 0.1)
+    sample = sample_offsets(n, 0.1, random.Random(7))
+    grids = make_grids(n)
+    assert sample.m > PREFIX_SHIFTS
+    assert _prefix_columns(far, grids, sample) == []
+    rows = _build_left_table(far, grids, sample, QueryLedger())
+    calls = _spy_on_fingerprints(monkeypatch)
+    ledger = QueryLedger()
+    assert _column_hits(far, grids.j_set, sample, rows, ledger) == {}
+    # the prefix screen alone: no gather of full fingerprints
+    assert calls == [list(grids.j_set)]
+    assert ledger.uncharged_reads == len(grids.j_set) * min(PREFIX_SHIFTS, sample.m)
+
+
+@pytest.mark.parametrize("n", [1024, 2**15])
+def test_full_fingerprints_are_gathered_for_the_prefix_candidates_only(
+    monkeypatch, n
+):
+    rng = random.Random(n + 1)
+    member = gen_member(n // 3, n // 2 - n // 3, rng)
+    sample = sample_offsets(n, 0.1, rng)
+    grids = cube_grids(n)
+    candidates = _prefix_columns(member, grids, sample)
+    assert candidates
+    rows = _build_left_table(member, grids, sample, QueryLedger())
+    calls = _spy_on_fingerprints(monkeypatch)
+    ledger = QueryLedger()
+    hits = _column_hits(member, grids.j_set, sample, rows, ledger)
+    assert hits and set(hits) <= set(candidates)
+    assert calls == [list(grids.j_set), [grids.j_set[k] for k in candidates]]
+    prefix_reads = len(grids.j_set) * PREFIX_SHIFTS
+    assert ledger.uncharged_reads == prefix_reads + len(candidates) * sample.m
+
+
+def test_row_table_maps_each_fingerprint_to_its_first_row():
+    n = 2**15
+    sample = sample_offsets(n, 0.1, random.Random(11))
+    grids = cube_grids(n)
+    zeros = _build_left_table(Word(bytes(n)), grids, sample, QueryLedger())
+    assert zeros == {bytes(sample.m): 0}
+    x = Word(bytes(int(i % 4 == 3) for i in range(n)))
+    expected = {}
+    for i in grids.i_set:
+        expected.setdefault(left(x, i, sample), i)
+    assert len(expected) == 4
+    assert _build_left_table(x, grids, sample, QueryLedger()) == expected
