@@ -41,21 +41,28 @@ C = 1 and the second table full). At or below the cutover, or when h has no divi
 between 2 and sqrt(h), the shape is (h, 1): the grid is a single row, run
 through one plain rfft and one irfft, with no twiddles.
 
-The transforms run in a per-thread workspace of two float64 buffers, the
-twiddles and the views of both, kept for the last half-length served. Each
-buffer holds one half's spectrum, through a complex view. numpy copies a
-transform's input whenever its output overlaps it, so the even half's
-indicator is written into the odd buffer and transformed into the even one;
-the odd half's indicator then goes into the odd buffer and is transformed
-in place. The product is formed in place and the inverse writes into the
-odd buffer (blocked, its last step writes back into the even one). A binary
-word therefore allocates nothing of size n/2 per call beyond the one copy
-numpy makes of the odd half's input. The quadratic split scan is kept only
-as the reference the tests compare against.
+The transforms run in a per-thread workspace of two float64 buffers, which
+stay at the largest size the thread has served (about 17 MB once it has
+served n = 2^21): each half-length runs in views of their first elements,
+so moving between sizes allocates nothing. The twiddle tables are computed
+once per blocked shape and shared by all threads. Each buffer holds one
+half's spectrum, through a complex view. numpy copies a transform's whole
+input whenever its output overlaps it, so the even half's indicator is
+written into the odd buffer and transformed into the even one; the odd
+half's indicator then goes into the odd buffer and is transformed in place.
+The product is formed in place in the even buffer. Blocked, the inverse's
+column ifft and conjugate twiddles run in place there too (a strided
+transform along axis 0 works through small batches of columns, so no
+whole copy is made); for either shape the final irfft writes the result
+into the odd buffer. A binary word therefore allocates nothing of size n/2
+per call beyond the one copy numpy makes of the odd half's input. The
+quadratic split scan is kept only as the reference the tests compare
+against.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -129,26 +136,38 @@ def _block_shape(h: int) -> tuple[int, int]:
     return (n1, h // n1) if n1 > 1 else (h, 1)
 
 
+# twiddle tables are kept for this many blocked shapes, the most recently
+# used; a sweep of n = 2^9..2^21 uses six (n = 2^16..2^21), 1.2 MB in all
+TWIDDLE_SHAPES = 16
+
+
+@functools.lru_cache(maxsize=TWIDDLE_SHAPES)
 def _twiddles(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
     """W_h^(j2 * k1) for rows j2 < N2 and columns k1 <= N1 / 2, in factored
     form: with j2 = c + C * d, a (1, C, N1 / 2 + 1) table of W_h^(c * k1)
     and a (D, 1, N1 / 2 + 1) table of W_h^(C * d * k1), so that both
-    broadcast over a (D, C, N1 / 2 + 1) view of the spectrum."""
+    broadcast over a (D, C, N1 / 2 + 1) view of the spectrum. The tables
+    are read-only: each shape's pair is computed once and shared by every
+    thread."""
     h = n1 * n2
     k1 = np.arange(n1 // 2 + 1)
     c = _root_divisor(n2)
     low = np.arange(c).reshape(1, -1, 1) * k1
     high = (c * np.arange(n2 // c)).reshape(-1, 1, 1) * k1
-    return np.exp(-2j * np.pi / h * low), np.exp(-2j * np.pi / h * high)
+    tables = np.exp(-2j * np.pi / h * low), np.exp(-2j * np.pi / h * high)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 @dataclass(frozen=True)
 class _Plan:
     """This thread's transforms for one half-length h: the blocked shape
     (N1, N2), views of the two workspace buffers (each buffer's first h
-    reals as an N2 x N1 grid and the whole buffer as one spectrum, of
-    N2 x (N1 // 2 + 1) complex values) and the twiddle tables, none for the
-    (h, 1) shape, whose grid and spectrum are single rows."""
+    reals as an N2 x N1 grid and its first 2 * N2 * (N1 // 2 + 1) reals as
+    one spectrum of N2 x (N1 // 2 + 1) complex values) and the twiddle
+    tables, none for the (h, 1) shape, whose grid and spectrum are single
+    rows."""
 
     h: int
     shape: tuple[int, int]
@@ -161,17 +180,27 @@ _workspace = threading.local()
 
 
 def _plan(h: int) -> _Plan:
-    """This thread's plan for half-length h, kept until another h is served."""
+    """This thread's plan for half-length h, kept until another h is served.
+
+    The plan's views are cut from the thread's two workspace buffers, which
+    only ever grow: they stay at the largest size served so far, so moving
+    between sizes allocates nothing once the largest has been seen (a
+    thread that has served n = 2^21 keeps about 17 MB)."""
     plan = getattr(_workspace, "plan", None)
-    if plan is None or plan.h != h:
-        n1, n2 = _block_shape(h)
-        cols = n1 // 2 + 1
-        buffers = (np.empty(2 * n2 * cols), np.empty(2 * n2 * cols))
-        reals = tuple(buf[:h].reshape(n2, n1) for buf in buffers)
-        spectra = tuple(buf.view(np.complex128).reshape(n2, cols) for buf in buffers)
-        twiddles = _twiddles(n1, n2) if n2 > 1 else ()
-        plan = _Plan(h, (n1, n2), reals, spectra, twiddles)
-        _workspace.plan = plan
+    if plan is not None and plan.h == h:
+        return plan
+    n1, n2 = _block_shape(h)
+    cols = n1 // 2 + 1
+    size = 2 * n2 * cols
+    buffers = getattr(_workspace, "buffers", ())
+    if not buffers or buffers[0].size < size:
+        buffers = _workspace.buffers = (np.empty(size), np.empty(size))
+    reals = tuple(buf[:h].reshape(n2, n1) for buf in buffers)
+    spectra = tuple(
+        buf[:size].view(np.complex128).reshape(n2, cols) for buf in buffers
+    )
+    twiddles = _twiddles(n1, n2) if n2 > 1 else ()
+    plan = _workspace.plan = _Plan(h, (n1, n2), reals, spectra, twiddles)
     return plan
 
 
@@ -195,7 +224,9 @@ def _indicator(half: np.ndarray, sym: int, out: np.ndarray) -> tuple[np.ndarray,
 def _twiddle(
     spec: np.ndarray, twiddles: tuple[np.ndarray, ...], inverse: bool = False
 ) -> None:
-    """Multiply spec[j2, k1] by W_h^(j2 * k1), or by its conjugate, in place."""
+    """Multiply spec[j2, k1] by W_h^(j2 * k1), or by its conjugate, in place.
+    The conjugates are taken per call (15 us at n = 2^21) rather than kept:
+    kept, they would double the tables' memory."""
     view = spec.reshape(-1, twiddles[0].shape[1], spec.shape[1])
     for table in twiddles:
         view *= table.conj() if inverse else table
@@ -215,16 +246,14 @@ def _spectrum(ind: np.ndarray, spec: np.ndarray, plan: _Plan) -> np.ndarray:
 
 def _inverse(power: np.ndarray, plan: _Plan) -> np.ndarray:
     """The real length-h sequence whose spectrum, in _spectrum's order, is
-    power, as an N2 x N1 grid whose cell [j2, j1] holds index N2 * j1 + j2.
-    It is written into the odd buffer's reals for the (h, 1) shape;
-    blocked, the odd buffer holds the intermediate and the even buffer's
-    reals the result."""
-    out = plan.reals[1]
+    power, as an N2 x N1 grid whose cell [j2, j1] holds index N2 * j1 + j2,
+    written into the odd buffer's reals. Blocked, the column ifft and the
+    conjugate twiddles run in place in power, which is overwritten, and
+    only the row irfft writes elsewhere."""
     if plan.twiddles:
-        power = np.fft.ifft(power, axis=0, out=plan.spectra[1])
+        np.fft.ifft(power, axis=0, out=power)
         _twiddle(power, plan.twiddles, inverse=True)
-        out = plan.reals[0]
-    return np.fft.irfft(power, plan.shape[0], axis=1, out=out)
+    return np.fft.irfft(power, plan.shape[0], axis=1, out=plan.reals[1])
 
 
 def _distance_fast(x: Word) -> DistanceResult:

@@ -46,6 +46,11 @@ CSV_COLUMNS = (
     "seconds",
 )
 
+# the largest size every alphabet can draw: random_word asks the generator
+# for 8n random bits in one getrandbits call (32n for an alphabet that does
+# not divide 256), and that call's bit count is a C int, below 2^31
+MAX_SIZE = 2**25
+
 MODES = ("quantum", "classical", "exact")
 INSTANCE_CLASSES = ("member", "far")
 
@@ -105,6 +110,12 @@ class ExperimentConfig:
             _check_int("sizes entry", n)
             if n < 4 or n % 2:
                 raise ValueError(f"sizes must be even and >= 4, got {n}")
+            if n > MAX_SIZE:
+                raise ValueError(
+                    f"sizes must be at most {MAX_SIZE} (2^25), got {n}: a word "
+                    "draws up to 32 random bits per symbol in one call, whose "
+                    "bit count must stay below 2^31"
+                )
         for eps in self.epsilons:
             _check_real("epsilons entry", eps)
             if not 0.0 < eps < 1.0:

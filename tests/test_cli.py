@@ -1,12 +1,15 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from twopal import exact_member, gen_member
 from twopal.cli import main
-from twopal.experiment import load_config
+from twopal.experiment import MAX_SIZE, ExperimentConfig, load_config
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
@@ -280,6 +283,54 @@ def test_experiment_tiny_epsilon_is_a_usage_error(tmp_path, capsys):
     assert err.startswith("error: epsilon=1e-300 needs m=")
     assert len(err.splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("size", [1 << 28, 1 << 36])
+def test_experiment_oversized_size_is_a_usage_error(tmp_path, capsys, size):
+    # a word of n symbols draws up to 32n random bits in one call, whose bit
+    # count is a C int; such sizes are refused before anything is drawn
+    raw = {"sizes": [size], "epsilons": [0.2], "trials": 1, "modes": ["exact"]}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "report.csv"
+    assert main(["experiment", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: sizes must be at most {MAX_SIZE}")
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_largest_size_every_alphabet_draws_passes_validation():
+    # validation only: a run at this size would draw 32 MiB words
+    assert MAX_SIZE == 1 << 25
+    for alphabet_size in (2, 3, 256):
+        config = ExperimentConfig(
+            sizes=(MAX_SIZE,), epsilons=(0.1,), alphabet_size=alphabet_size
+        )
+        assert config.sizes == (MAX_SIZE,)
+    with pytest.raises(ValueError, match="at most"):
+        ExperimentConfig(sizes=(MAX_SIZE + 2,), epsilons=(0.1,))
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # importing numpy.random costs about 7 ms per fresh interpreter and 6 MB
+    # of resident memory (one exact_adversarial pass at n = 2^20 peaked at
+    # 36.9 MB without it and 42.9 MB with it), so the package draws all of
+    # its randomness from the standard library's random module
+    code = (
+        "import sys, twopal, twopal.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_experiment_deeply_nested_config_is_a_usage_error(tmp_path, capsys):

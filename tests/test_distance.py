@@ -29,6 +29,7 @@ from twopal.distance import (
     _block_shape,
     _indicator,
     _plan,
+    _twiddles,
     _workspace,
     mismatched_pairs,
 )
@@ -498,6 +499,79 @@ def test_factored_twiddles_stay_small_at_2_21():
     # the full (N1/2 + 1) x N2 table would hold about n/4 complex values
     # (8 MB); the factored pair holds 2 * 513 * 32 of them (0.5 MB)
     assert retained - buffers < 0.04 * (n // 2) * 16
+
+
+def test_one_workspace_serves_every_size_after_the_largest():
+    # one thread, starting with an empty workspace, serves 2^21, then 1024,
+    # 2^16 and 2^21 again: the smaller sizes run in views of the 2^21
+    # buffers, and the second 2^21 plan is cut from the first one's memory
+    rng = random.Random(113)
+    sizes = (1 << 21, 1024, 1 << 16, 1 << 21)
+    words = [[random_word(n, rng, alphabet_size=k) for k in (2, 3)] for n in sizes]
+    expected = [[_fresh_thread_distance(w) for w in ws] for ws in words]
+    got, plans = [], []
+
+    def work():
+        for ws in words:
+            got.append([distance_to_language(w) for w in ws])
+            plans.append(_workspace.plan)
+
+    thread = threading.Thread(target=work)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    assert got == expected
+    assert expected[1] == [distance_to_language(w, "baseline") for w in words[1]]
+    first = plans[0]
+    for plan in plans[1:]:
+        for buf in (0, 1):
+            assert np.shares_memory(plan.reals[buf], first.reals[buf])
+            assert np.shares_memory(plan.spectra[buf], first.spectra[buf])
+    assert plans[3].shape == first.shape
+    assert plans[3].reals[0].base is first.reals[0].base
+
+
+def test_twiddle_tables_are_computed_once_per_shape():
+    # a size switch reuses the read-only tables of a shape served before;
+    # at n = 2^21 the factored pair stays below 4% of the full table
+    h = 1 << 20
+    tables = _plan(h).twiddles
+    _plan(512)
+    _plan(1 << 15)
+    assert all(a is b for a, b in zip(_plan(h).twiddles, tables, strict=True))
+    assert _twiddles(*_block_shape(h)) is tables
+    assert not any(table.flags.writeable for table in tables)
+    assert sum(table.nbytes for table in tables) < 0.04 * h * 16
+
+
+@pytest.mark.parametrize("h, shape", [(512, (512, 1)), (1 << 15, (128, 256))])
+def test_inverse_runs_its_column_ifft_in_place_into_the_odd_buffer(
+    monkeypatch, h, shape
+):
+    # blocked, the one ifft transforms the product spectrum into itself;
+    # either shape then leaves the result grid in the odd buffer's reals
+    assert _block_shape(h) == shape
+    rng = random.Random(h + 1)
+    words = [random_word(2 * h, rng, alphabet_size=k) for k in (2, 3)]
+    expected = [_single_transform_distance(w) for w in words]
+    calls = []
+    for name in ("ifft", "irfft"):
+        transform = getattr(np.fft, name)
+
+        def recorded(a, *args, out=None, _name=name, _transform=transform, **kwargs):
+            calls.append((_name, a, out))
+            return _transform(a, *args, out=out, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, recorded)
+    for w, result in zip(words, expected):
+        calls.clear()
+        assert distance_to_language(w) == result
+        names = [name for name, *_ in calls]
+        assert names == (["ifft", "irfft"] if shape[1] > 1 else ["irfft"])
+        if shape[1] > 1:
+            _, a, out = calls[0]
+            assert out is a
+        assert calls[-1][2] is _plan(h).reals[1]
 
 
 def test_unrounded_counts_are_within_1e_6_of_integers_at_2_21(monkeypatch):

@@ -15,7 +15,7 @@ from twopal import (
     gen_sigma,
     random_word,
 )
-from twopal.generators import SCALAR_TAIL, _randbelow
+from twopal.generators import NUMPY_MASK_MIN, SCALAR_TAIL, _randbelow
 
 
 def test_sigma_frozen():
@@ -133,6 +133,21 @@ def test_random_word_on_power_of_two_alphabets_keeps_byte_residues(alphabet_size
         w = random_word(n, drawn, alphabet_size)
         assert w.symbols == reference.randbytes(n).translate(table)
         assert drawn.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("alphabet_size", [2, 4, 16, 256])
+def test_random_word_masks_with_numpy_from_its_cutover_on(alphabet_size):
+    # from NUMPY_MASK_MIN symbols on the bytes are masked by numpy instead of
+    # translated; the lengths straddle that switch, and 2^15 + 3 and
+    # 2^21 + 1 are not multiples of any vector width
+    assert NUMPY_MASK_MIN == 4096
+    table = bytes(b % alphabet_size for b in range(256))
+    for n in (4095, 4096, 4097, 4098, (1 << 15) + 3, (1 << 21) + 1):
+        for seed in range(3):
+            drawn, reference = random.Random(seed), random.Random(seed)
+            w = random_word(n, drawn, alphabet_size)
+            assert w.symbols == reference.randbytes(n).translate(table)
+            assert drawn.getstate() == reference.getstate()
 
 
 @pytest.mark.parametrize("bound", [1, 3, 1024, 1025, 1 << 21, (1 << 32) - 1])
