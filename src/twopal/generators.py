@@ -16,18 +16,6 @@ import numpy as np
 from .distance import distance_to_language, far_threshold
 from .words import Word, check_even_length
 
-# _LOW_BITS[k] maps each byte b to b % 2^k, its k low bits
-_LOW_BITS = tuple(bytes(b & ((1 << k) - 1) for b in range(256)) for k in range(9))
-
-
-# random_word masks the random bytes of a word at least this long with one
-# numpy & instead of bytes.translate, which goes a byte at a time. Best of 7
-# on a 2-core Xeon host, translate against the mask: 1.2 against 1.7 us at
-# 1 KiB, where numpy's fixed cost per call dominates; 2.3 against 2.1 us at
-# 4 KiB; 21 against 3.4 us at 32 KiB; 1.5 against 0.43 ms at 2 MiB
-NUMPY_MASK_MIN = 2**12
-
-
 # _randbelow draws its last values one by one once at most this many are
 # missing: each batch round has a fixed cost of a few microseconds, and the
 # rounds left for a few values cost more than one getrandbits call per output
@@ -72,20 +60,16 @@ def random_word(n: int, rng: random.Random, alphabet_size: int = 2) -> Word:
     """Uniform random word of length n.
 
     An alphabet dividing 256 takes one rng.randbytes(n) call and keeps each
-    byte's low bits: by a translate table below NUMPY_MASK_MIN symbols, by
-    a numpy mask from there up. Any other alphabet takes the values of one
-    rng.randrange(alphabet_size) call per symbol (_randbelow). Either way
-    the word and rng's final state depend only on rng's state, n and the
-    alphabet.
+    byte's low bits, by one numpy mask. Any other alphabet takes the values
+    of one rng.randrange(alphabet_size) call per symbol (_randbelow). Either
+    way the word and rng's final state depend only on rng's state, n and
+    the alphabet.
     """
     if n < 0:
         raise ValueError("length must be nonnegative")
     if 256 % alphabet_size == 0:
-        raw = rng.randbytes(n)
-        if n < NUMPY_MASK_MIN:
-            table = _LOW_BITS[alphabet_size.bit_length() - 1]
-            return Word(raw.translate(table), alphabet_size)
-        symbols = np.frombuffer(raw, dtype=np.uint8) & (alphabet_size - 1)
+        raw = np.frombuffer(rng.randbytes(n), dtype=np.uint8)
+        symbols = raw & (alphabet_size - 1)
     else:
         symbols = _randbelow(rng, alphabet_size, n).astype(np.uint8)
     return Word(symbols.tobytes(), alphabet_size)

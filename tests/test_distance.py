@@ -501,6 +501,39 @@ def test_factored_twiddles_stay_small_at_2_21():
     assert retained - buffers < 0.04 * (n // 2) * 16
 
 
+def test_first_2_21_call_on_a_new_thread_keeps_only_its_buffers_and_tables():
+    # a new thread starts with an empty workspace, and the cleared table
+    # cache holds no 2^21 tables, so this call keeps exactly what it makes:
+    # the thread's two buffers and the factored twiddle pair
+    n = 1 << 21
+    w = random_word(n, random.Random(107))
+    expected = _single_transform_distance(w)  # also loads numpy.fft untraced
+    measured = []
+
+    def work():
+        _twiddles.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = distance_to_language(w)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        buffers = sum(buf.nbytes for buf in _workspace.buffers)
+        measured.append((result, retained, buffers))
+
+    thread = threading.Thread(target=work)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    [(result, retained, buffers)] = measured
+    assert result == expected
+    assert buffers >= n * 8
+    # the full (N1/2 + 1) x N2 table would hold about n/4 complex values
+    # (8 MB); the factored pair holds 2 * 513 * 32 of them (0.5 MB)
+    assert 0 <= retained - buffers < 0.04 * (n // 2) * 16
+
+
 def test_one_workspace_serves_every_size_after_the_largest():
     # one thread, starting with an empty workspace, serves 2^21, then 1024,
     # 2^16 and 2^21 again: the smaller sizes run in views of the 2^21
@@ -535,6 +568,7 @@ def test_twiddle_tables_are_computed_once_per_shape():
     # a size switch reuses the read-only tables of a shape served before;
     # at n = 2^21 the factored pair stays below 4% of the full table
     h = 1 << 20
+    _plan(512)  # a kept 2^20 plan may predate a cleared table cache
     tables = _plan(h).twiddles
     _plan(512)
     _plan(1 << 15)

@@ -15,7 +15,7 @@ from twopal import (
     gen_sigma,
     random_word,
 )
-from twopal.generators import NUMPY_MASK_MIN, SCALAR_TAIL, _randbelow
+from twopal.generators import SCALAR_TAIL, _randbelow
 
 
 def test_sigma_frozen():
@@ -136,11 +136,9 @@ def test_random_word_on_power_of_two_alphabets_keeps_byte_residues(alphabet_size
 
 
 @pytest.mark.parametrize("alphabet_size", [2, 4, 16, 256])
-def test_random_word_masks_with_numpy_from_its_cutover_on(alphabet_size):
-    # from NUMPY_MASK_MIN symbols on the bytes are masked by numpy instead of
-    # translated; the lengths straddle that switch, and 2^15 + 3 and
-    # 2^21 + 1 are not multiples of any vector width
-    assert NUMPY_MASK_MIN == 4096
+def test_random_word_masks_long_words_like_a_byte_table(alphabet_size):
+    # the numpy mask keeps the same low bits as a byte-at-a-time translate;
+    # 4095, 4097, 2^15 + 3 and 2^21 + 1 are not multiples of any vector width
     table = bytes(b % alphabet_size for b in range(256))
     for n in (4095, 4096, 4097, 4098, (1 << 15) + 3, (1 << 21) + 1):
         for seed in range(3):
