@@ -24,11 +24,8 @@ from .grover import (
 from .ledger import QueryLedger
 from .membership import (
     MembershipResult,
-    brute_force_member,
     check_symmetric_characterization,
     exact_member,
-    kmp_member,
-    kmp_occurrences,
 )
 from .tester import (
     IndexGrids,
@@ -43,7 +40,7 @@ from .tester import (
     sample_offsets,
     sqrt_grids,
 )
-from .words import Decomposition, RotatedDoubledView, Word, reverse
+from .words import Decomposition, Word
 
 __all__ = [
     "Decomposition",
@@ -54,10 +51,8 @@ __all__ = [
     "MembershipResult",
     "OffsetSample",
     "QueryLedger",
-    "RotatedDoubledView",
     "Verdict",
     "Word",
-    "brute_force_member",
     "ceil_sqrt",
     "check_symmetric_characterization",
     "classical_test",
@@ -71,12 +66,9 @@ __all__ = [
     "gen_sigma",
     "icbrt",
     "is_eps_far",
-    "kmp_member",
-    "kmp_occurrences",
     "offset_count",
     "quantum_test",
     "random_word",
-    "reverse",
     "round_success_probability",
     "sample_offsets",
     "schedule_success_probability",

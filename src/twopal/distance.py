@@ -56,8 +56,8 @@ transform along axis 0 works through small batches of columns, so no
 whole copy is made); for either shape the final irfft writes the result
 into the odd buffer. A binary word therefore allocates nothing of size n/2
 per call beyond the one copy numpy makes of the odd half's input. The
-quadratic split scan is kept only as the reference the tests compare
-against.
+tests compare every result with a quadratic split scan, kept in
+tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -81,39 +81,6 @@ class DistanceResult:
 def far_threshold(epsilon: float, n: int) -> int:
     """ceil(epsilon * n), tolerating float rounding at integer products."""
     return math.ceil(epsilon * n - 1e-9)
-
-
-def mismatched_pairs(x: Word, half_u: int) -> list[tuple[int, int]]:
-    """Mirror pairs (i, j) that disagree under the split |u| = half_u."""
-    n = x.n
-    s = x.symbols
-    pairs = []
-    for i in range(half_u):
-        j = 2 * half_u - 1 - i
-        if s[i] != s[j]:
-            pairs.append((i, j))
-    h = (n - 2 * half_u) // 2
-    for t in range(h):
-        i, j = 2 * half_u + t, n - 1 - t
-        if s[i] != s[j]:
-            pairs.append((i, j))
-    return pairs
-
-
-def _distance_baseline(x: Word) -> DistanceResult:
-    n = x.n
-    arr = np.frombuffer(x.symbols, dtype=np.uint8)
-    best = None
-    best_a = 0
-    for a in range(1, n // 2):
-        left = int((arr[:a] != arr[a : 2 * a][::-1]).sum())
-        block = arr[2 * a :]
-        h = (n - 2 * a) // 2
-        right = int((block[:h] != block[h:][::-1]).sum())
-        total = left + right
-        if best is None or total < best:
-            best, best_a = total, a
-    return DistanceResult(best, Decomposition(best_a, n // 2 - best_a))
 
 
 # half-lengths above this run as blocked four-step transforms (_block_shape)
@@ -323,20 +290,14 @@ def _distance_fast(x: Word) -> DistanceResult:
     return DistanceResult(h - int(columns[j1]), Decomposition(a, h - a))
 
 
-def distance_to_language(x: Word, method: str = "auto") -> DistanceResult:
+def distance_to_language(x: Word) -> DistanceResult:
     """Minimum Hamming distance from x to any two-palindrome concatenation.
 
-    method: "auto" (the default) runs one length-n/2 cyclic convolution,
-    O(n log n) at every size; "baseline" is the quadratic split scan, kept
-    only as the reference tests compare against. Both produce identical
-    results, including the smallest-|u| tie-break on the reported split.
+    Exact, by one length-n/2 cyclic convolution, O(n log n) at every size.
+    Among the best splits the reported one has the smallest |u|.
     """
     check_even_length(x.n)
-    if method == "auto":
-        return _distance_fast(x)
-    if method == "baseline":
-        return _distance_baseline(x)
-    raise ValueError(f"unknown method {method!r}")
+    return _distance_fast(x)
 
 
 def is_eps_far(x: Word, epsilon: float) -> bool:

@@ -63,10 +63,13 @@ def random_word(n: int, rng: random.Random, alphabet_size: int = 2) -> Word:
     byte's low bits, by one numpy mask. Any other alphabet takes the values
     of one rng.randrange(alphabet_size) call per symbol (_randbelow). Either
     way the word and rng's final state depend only on rng's state, n and
-    the alphabet.
+    the alphabet. A bad length or alphabet raises ValueError before any draw.
     """
     if n < 0:
         raise ValueError("length must be nonnegative")
+    if not 2 <= alphabet_size <= 256:
+        # checked before drawing: _randbelow never returns for a bound below 1
+        raise ValueError("alphabet needs 2 to 256 symbols, one byte each")
     if 256 % alphabet_size == 0:
         raw = np.frombuffer(rng.randbytes(n), dtype=np.uint8)
         symbols = raw & (alphabet_size - 1)

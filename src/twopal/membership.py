@@ -1,44 +1,43 @@
-"""Exact membership deciders for the two-palindrome concatenation language.
+"""Exact membership decider for the two-palindrome concatenation language.
 
-`brute_force_member` tries every even split directly and is the trusted
-ground truth. `exact_member` reduces the question to substring search: x
-decomposes as two nonempty even palindromes iff reverse(x) occurs in the
-rotation-doubled view y(x) at an odd offset i with i+1 in [2, n-2], that is,
-iff reverse(x) equals x rotated left by i + 1 = 2j + 2 symbols for some
-0 <= j <= n/2 - 2. Both palindromes of a member have even length, so every
-mirror pair joins an even and an odd position, and a member holds each
-symbol as often at even positions as at odd ones. Binary words are screened
-on this before any search: a word that fails it is a non-member. Binary
-words whose length is a multiple of 8 and at least PACK_MIN are searched as
-bits, eight symbols to a byte: the pattern is reverse(x) packed, and for
-each phase f = j mod 4 the text is x read cyclically from symbol 2 + 2f,
-packed, so a match at byte q is j = 4q + f. Four finds over texts of at
-most n/4 bytes decide, the smallest j over the phases being the first
-witness. Every other word (alphabets above 2, lengths
-not a multiple of 8, words shorter than PACK_MIN) is searched as symbol
-pairs: the text is y(x)[1:], whose units are the pairs (x[2k], x[2k+1])
-rotated by one, and the pattern is reverse(x), whose units are the same
-pairs swapped, in reverse order. Over at most 16 symbols each pair packs into
-one byte, and one `bytes.find` over the n - 2 packed bytes decides, since
-every match is an odd offset. Over larger alphabets a unit is two raw bytes,
-and a match may start mid-pair; the occurrences of a length-n pattern in a
-text shorter than 2n form one arithmetic progression (Kociumaka,
-Radoszewski, Rytter and Walen, SODA 2015), so the first two decide whether an
-aligned one exists.
-`kmp_member` is the reference it is tested against: Knuth-Morris-Pratt over
-the virtual view, charging the ledger one read per visited symbol.
-`exact_member` charges the count that reference reads, in closed form.
+`exact_member` reduces the question to substring search: x decomposes as two
+nonempty even palindromes iff reverse(x) occurs in the rotation-doubled view
+y(x) at an odd offset i with i+1 in [2, n-2], that is, iff reverse(x) equals
+x rotated left by i + 1 = 2j + 2 symbols for some 0 <= j <= n/2 - 2. Both
+palindromes of a member have even length, so every mirror pair joins an even
+and an odd position, and a member holds each symbol as often at even
+positions as at odd ones. Binary words are screened on this before any
+search: a word that fails it is a non-member. Binary words whose length is a
+multiple of 8 and at least PACK_MIN are searched as bits, eight symbols to a
+byte: the pattern is reverse(x) packed, and for each phase f = j mod 4 the
+text is x read cyclically from symbol 2 + 2f, packed, so a match at byte q
+is j = 4q + f. Four finds over texts of at most n/4 bytes decide, the
+smallest j over the phases being the first witness. Every other word
+(alphabets above 2, lengths not a multiple of 8, words shorter than
+PACK_MIN) is searched as symbol pairs: the text is y(x)[1:], whose units are
+the pairs (x[2k], x[2k+1]) rotated by one, and the pattern is reverse(x),
+whose units are the same pairs swapped, in reverse order. Over at most 16
+symbols each pair packs into one byte, and one `bytes.find` over the n - 2
+packed bytes decides, since every match is an odd offset. Over larger
+alphabets a unit is two raw bytes, and a match may start mid-pair; the
+occurrences of a length-n pattern in a text shorter than 2n form one
+arithmetic progression (Kociumaka, Radoszewski, Rytter and Walen, SODA
+2015), so the first two decide whether an aligned one exists.
+`exact_member` charges, in closed form, the reads of a Knuth-Morris-Pratt
+walk over y(x) (Knuth, Morris and Pratt, 1977) that reads each visited
+symbol once. That walk and a brute-force split scan are the references the
+decider is tested against; they live in tests/helpers.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .ledger import QueryLedger
-from .words import Decomposition, RotatedDoubledView, Word
+from .words import Decomposition, Word
 
 
 # _SWAP_NIBBLES maps each byte c << 4 | d to d << 4 | c
@@ -61,85 +60,6 @@ class MembershipResult:
     def __post_init__(self) -> None:
         if self.is_member != (self.witness is not None):
             raise ValueError("witness must be present exactly for members")
-
-
-def _failure_function(pattern: Sequence[int]) -> list[int]:
-    """fail[q] = length of the longest proper border of pattern[:q+1]."""
-    fail = [0] * len(pattern)
-    k = 0
-    for q in range(1, len(pattern)):
-        c = pattern[q]
-        while k and pattern[k] != c:
-            k = fail[k - 1]
-        if pattern[k] == c:
-            k += 1
-        fail[q] = k
-    return fail
-
-
-def kmp_occurrences(pattern: Sequence[int], text: Sequence[int]) -> Iterator[int]:
-    """Yield every start index of pattern in text, in increasing order.
-
-    text only needs indexed access; each position is read exactly once, so a
-    virtual sequence (such as RotatedDoubledView) works without being
-    materialized. Total work is O(len(text) + len(pattern)).
-    """
-    m = len(pattern)
-    if m == 0:
-        raise ValueError("empty pattern")
-    fail = _failure_function(pattern)
-    q = 0
-    for i in range(len(text)):
-        c = text[i]
-        while q and pattern[q] != c:
-            q = fail[q - 1]
-        if pattern[q] == c:
-            q += 1
-        if q == m:
-            yield i - m + 1
-            q = fail[q - 1]
-
-
-def brute_force_member(x: Word) -> MembershipResult:
-    """Try every even split; quadratic and deliberately unoptimized.
-
-    Returns the witness with the smallest |u| when x is a member. Odd or
-    too-short words are non-members by definition.
-    """
-    n = x.n
-    if n < 4 or n % 2:
-        return MembershipResult(False)
-    s = x.symbols
-    for a in range(1, n // 2):
-        left = s[: 2 * a]
-        if left != left[::-1]:
-            continue
-        right = s[2 * a :]
-        if right == right[::-1]:
-            return MembershipResult(True, Decomposition(a, n // 2 - a))
-    return MembershipResult(False)
-
-
-def kmp_member(x: Word, ledger: Optional[QueryLedger] = None) -> MembershipResult:
-    """Reference decider: KMP search for reverse(x) inside the virtual y(x).
-
-    An occurrence starting at i certifies that x[:i+1] and x[i+1:] are both
-    palindromes, which is a valid decomposition only when i is odd and both
-    parts are nonempty (i+1 in [2, n-2]); other occurrences are skipped and
-    the scan continues. Charges n reads for the reversed pattern plus one
-    read per visited view position, O(n) in total.
-    """
-    n = x.n
-    if n < 4 or n % 2:
-        return MembershipResult(False)
-    if ledger is not None:
-        ledger.read_classical(n)
-    pattern = x.symbols[::-1]
-    view = RotatedDoubledView(x, ledger)
-    for i in kmp_occurrences(pattern, view):
-        if i % 2 == 1 and i <= n - 3:
-            return MembershipResult(True, Decomposition((i + 1) // 2, (n - i - 1) // 2))
-    return MembershipResult(False)
 
 
 def _pair_witness(x: Word) -> int:
@@ -240,7 +160,8 @@ def exact_member(x: Word, ledger: Optional[QueryLedger] = None) -> MembershipRes
     join an even and an odd position, so a word whose ones are not split
     evenly between even and odd positions is a non-member, rejected without
     a search. Both return the smallest witness offset i, so the ledger is
-    charged what `kmp_member` reads: n for the pattern, plus i + n view
+    charged what the Knuth-Morris-Pratt walk over y(x) reads (`kmp_member`
+    in tests/helpers.py): n for the pattern, plus i + n view
     symbols when it stops at witness i, or all 2n - 2 when there is none,
     screened words included.
     """

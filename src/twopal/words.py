@@ -1,14 +1,14 @@
-"""Words over a small alphabet and the rotation-doubled view used by the
-membership reduction.
+"""Words over a small alphabet and the split witness of the membership
+reduction.
 
 A word x of length n splits as x = u + reverse(u) + v + reverse(v) with u, v
 nonempty exactly when n is even, n >= 4, and some even split turns both halves
 into palindromes. The rotation-doubled view y(x) — x without its first symbol
 followed by x without its last symbol — is the key derived object: x belongs
-to the language iff reverse(x) occurs in y(x) at a suitable position.
-`RotatedDoubledView` computes element i on demand and charges one read per
-access; it is the text of the reference decider `kmp_member`. The fast
-decider `exact_member` never builds y(x). A binary word whose length is a
+to the language iff reverse(x) occurs in y(x) at a suitable position. The
+decider `exact_member` never builds y(x); the test suite's reference walk
+reads it one charged symbol at a time (`RotatedDoubledView` in
+tests/helpers.py). A binary word whose length is a
 multiple of 8 and at least PACK_MIN is searched as bits, eight symbols to a
 byte: four texts of at most n/4 bytes, x rotated by 2, 4, 6 and 8 symbols
 and packed. Every other word is searched as symbol pairs of y(x)[1:], n - 2
@@ -19,11 +19,8 @@ and 2n - 4 bytes otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
-
-from .ledger import QueryLedger
 
 
 def check_even_length(n: int) -> None:
@@ -96,11 +93,6 @@ class Word:
         return self.symbols.translate(_TO_DIGITS).decode("ascii")
 
 
-def reverse(w: Word) -> Word:
-    """The word read back to front; an involution."""
-    return Word(w.symbols[::-1], w.alphabet_size)
-
-
 @dataclass(frozen=True)
 class Decomposition:
     """Split witness: lengths |u| and |v| of a two-palindrome decomposition."""
@@ -111,32 +103,3 @@ class Decomposition:
     def __post_init__(self) -> None:
         if self.half_u < 1 or self.half_v < 1:
             raise ValueError("both palindrome halves must be nonempty")
-
-
-class RotatedDoubledView:
-    """Virtual y(x): x minus its first symbol, then x minus its last symbol.
-
-    Length is 2n-2. Index i maps to x[(i+1) mod n]: for i < n-1 that is
-    x[i+1], past the seam it wraps to x[i-n+1]. Reads go through the base
-    word; if a ledger is attached, each access records one classical read.
-    """
-
-    __slots__ = ("base", "n", "k", "ledger")
-
-    def __init__(self, base: Word, ledger: Optional[QueryLedger] = None) -> None:
-        if base.n < 2:
-            raise ValueError("rotation-doubled view needs a word of length >= 2")
-        self.base = base
-        self.n = base.n
-        self.k = 2 * base.n - 2
-        self.ledger = ledger
-
-    def __len__(self) -> int:
-        return self.k
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.k:
-            raise IndexError(f"view index {i} out of range [0, {self.k})")
-        if self.ledger is not None:
-            self.ledger.read_classical()
-        return self.base.symbols[(i + 1) % self.n]

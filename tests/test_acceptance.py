@@ -9,13 +9,12 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from helpers import all_words, left, member_constructions, right
+from helpers import all_words, brute_force_member, left, member_constructions, right
 from twopal import (
     Decomposition,
     DistanceResult,
     OffsetSample,
     QueryLedger,
-    brute_force_member,
     check_symmetric_characterization,
     cube_grids,
     distance_to_language,

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import math
 import random
 import threading
@@ -9,11 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import all_words
+from helpers import _distance_baseline, all_words, brute_force_member, mismatched_pairs
 from twopal import (
     Decomposition,
     Word,
-    brute_force_member,
     distance_to_language,
     far_threshold,
     gen_far,
@@ -31,7 +31,6 @@ from twopal.distance import (
     _plan,
     _twiddles,
     _workspace,
-    mismatched_pairs,
 )
 from twopal.experiment import ExperimentConfig, run_experiment
 
@@ -63,9 +62,11 @@ def test_domain_errors():
     for text in ("", "01", "010", "01010"):
         with pytest.raises(ValueError):
             distance_to_language(Word.from_text(text) if text else Word(b""))
-    for method in ("magic", "fast"):
-        with pytest.raises(ValueError):
-            distance_to_language(Word.from_text("0110"), method=method)
+
+
+def test_distance_takes_only_the_word():
+    # one implementation: the quadratic scan is a test reference, not a mode
+    assert list(inspect.signature(distance_to_language).parameters) == ["x"]
 
 
 def test_zero_distance_iff_member_exhaustive():
@@ -81,7 +82,7 @@ def test_fast_equals_baseline_random():
     for _ in range(1500):
         n = 2 * rng.randrange(2, 257)
         w = random_word(n, rng)
-        assert distance_to_language(w, "baseline") == distance_to_language(w)
+        assert _distance_baseline(w) == distance_to_language(w)
 
 
 def test_fast_equals_baseline_ternary():
@@ -89,14 +90,14 @@ def test_fast_equals_baseline_ternary():
     for _ in range(300):
         n = 2 * rng.randrange(2, 65)
         w = random_word(n, rng, alphabet_size=3)
-        assert distance_to_language(w, "baseline") == distance_to_language(w)
+        assert _distance_baseline(w) == distance_to_language(w)
 
 
 @pytest.mark.parametrize("n_max, alphabet_size", [(14, 2), (10, 3)])
 def test_fast_equals_baseline_exhaustive(n_max, alphabet_size):
     for n in range(4, n_max + 1, 2):
         for w in all_words(n, alphabet_size):
-            assert distance_to_language(w) == distance_to_language(w, "baseline")
+            assert distance_to_language(w) == _distance_baseline(w)
 
 
 def _adversarial_words(n):
@@ -112,7 +113,7 @@ def _adversarial_words(n):
 @pytest.mark.parametrize("n", [4, 6, 8, 16, 30, 64, 98, 256, 1000, 1022])
 def test_fast_equals_baseline_periodic_and_adversarial(n):
     for w in _adversarial_words(n):
-        assert distance_to_language(w) == distance_to_language(w, "baseline")
+        assert distance_to_language(w) == _distance_baseline(w)
 
 
 @pytest.mark.parametrize("n", [6, 10, 1022, 2050, 4098])
@@ -122,7 +123,7 @@ def test_fast_equals_baseline_on_odd_half_lengths(n):
     words = list(_adversarial_words(n))
     words += [random_word(n, rng, alphabet_size=k) for k in (2, 2, 3, 5)]
     for w in words:
-        assert distance_to_language(w) == distance_to_language(w, "baseline")
+        assert distance_to_language(w) == _distance_baseline(w)
 
 
 # --- the derived last spectrum -----------------------------------------
@@ -157,7 +158,7 @@ def test_fast_equals_baseline_when_codes_are_absent(alphabet_size, codes):
     for n in (4, 6, 16, 64, 1000, 1022):
         for _ in range(4):
             w = Word(bytes(rng.choice(codes) for _ in range(n)), alphabet_size)
-            assert distance_to_language(w) == distance_to_language(w, "baseline")
+            assert distance_to_language(w) == _distance_baseline(w)
 
 
 @pytest.mark.parametrize("alphabet_size", [2, 3, 256])
@@ -166,7 +167,7 @@ def test_one_symbol_words_run_no_transform(monkeypatch, alphabet_size, n):
     calls = _count_transforms(monkeypatch)
     for sym in sorted({0, 1, alphabet_size - 1}):
         w = Word(bytes([sym]) * n, alphabet_size)
-        assert distance_to_language(w) == distance_to_language(w, "baseline")
+        assert distance_to_language(w) == _distance_baseline(w)
         assert distance_to_language(w).distance == 0
     assert calls == []
 
@@ -191,7 +192,7 @@ def test_fast_equals_baseline_seeded_large_alphabets(alphabet_size, n):
     rng = random.Random(alphabet_size * 10_000 + n)
     for _ in range(3):
         w = random_word(n, rng, alphabet_size=alphabet_size)
-        assert distance_to_language(w) == distance_to_language(w, "baseline")
+        assert distance_to_language(w) == _distance_baseline(w)
 
 
 def test_fast_split_count_at_large_n():
@@ -225,7 +226,7 @@ def test_gen_far_output_is_frozen():
 @given(st.integers(min_value=2, max_value=40), st.randoms(use_true_random=False))
 def test_fast_equals_baseline_property(half_n, rng):
     w = random_word(2 * half_n, rng)
-    assert distance_to_language(w, "baseline") == distance_to_language(w)
+    assert _distance_baseline(w) == distance_to_language(w)
 
 
 def test_repair_witness():
@@ -310,7 +311,7 @@ def test_workspace_survives_sizes_and_alphabets_going_up_and_down():
                 pairs = mismatched_pairs(w, fast.best_split.half_u)
                 assert len(pairs) == fast.distance
             else:
-                assert fast == distance_to_language(w, "baseline")
+                assert fast == _distance_baseline(w)
 
 
 def test_two_threads_of_different_sizes_are_both_correct():
@@ -319,7 +320,7 @@ def test_two_threads_of_different_sizes_are_both_correct():
         [random_word(n, rng, alphabet_size=k) for k in (2, 3, 2)]
         for n in (1022, 2050)
     ]
-    expected = [[distance_to_language(w, "baseline") for w in ws] for ws in words]
+    expected = [[_distance_baseline(w) for w in ws] for ws in words]
     start = threading.Barrier(2)
     got = [[], []]
 
@@ -428,14 +429,14 @@ def test_fast_equals_baseline_just_above_the_cutover(h, shape):
     if h == BLOCKED[0][0]:
         words += _adversarial_words(2 * h)
     for w in words:
-        assert distance_to_language(w) == distance_to_language(w, "baseline")
+        assert distance_to_language(w) == _distance_baseline(w)
 
 
 def test_prime_half_length_above_the_cutover_runs_single_transforms(monkeypatch):
     h = 16411
     rng = random.Random(h)
     words = [random_word(2 * h, rng), random_word(2 * h, rng, alphabet_size=3)]
-    expected = [distance_to_language(w, "baseline") for w in words]
+    expected = [_distance_baseline(w) for w in words]
     calls = _count_transforms(monkeypatch, ("rfft", "irfft", "fft", "ifft"))
     assert distance_to_language(words[0]) == expected[0]
     assert calls == [("rfft", h)] * 2 + [("irfft", h)]
@@ -554,7 +555,7 @@ def test_one_workspace_serves_every_size_after_the_largest():
     thread.join(timeout=120)
     assert not thread.is_alive()
     assert got == expected
-    assert expected[1] == [distance_to_language(w, "baseline") for w in words[1]]
+    assert expected[1] == [_distance_baseline(w) for w in words[1]]
     first = plans[0]
     for plan in plans[1:]:
         for buf in (0, 1):
@@ -680,7 +681,7 @@ def test_split_pick_keeps_the_smallest_u_and_skips_residue_h_minus_1(
             assert len(set(rows[columns == columns[0]].tolist())) > 1
         result = distance_to_language(w)
         if reference == "baseline":
-            assert result == distance_to_language(w, "baseline"), name
+            assert result == _distance_baseline(w), name
         else:
             assert result == _single_transform_distance(w), name
         assert result.best_split.half_u == best[0] + 1, name

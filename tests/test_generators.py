@@ -3,10 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import _distance_baseline, brute_force_member
 from twopal import (
     FarInstanceError,
-    brute_force_member,
-    distance_to_language,
     exact_member,
     far_threshold,
     gen_far,
@@ -70,7 +69,7 @@ def test_gen_far_certified():
     for n, eps in ((4, 0.25), (64, 0.1), (256, 0.15), (1024, 0.1)):
         w = gen_far(n, eps, rng)
         # recompute the certificate independently of the sampling path
-        assert distance_to_language(w, "baseline").distance >= far_threshold(eps, n)
+        assert _distance_baseline(w).distance >= far_threshold(eps, n)
 
 
 def test_gen_far_exhaustion():
@@ -96,6 +95,22 @@ def test_generator_domain_errors():
         gen_far(8, 0.0, random.Random(0))
     with pytest.raises(ValueError):
         gen_far(8, 1.0, random.Random(0))
+
+
+@pytest.mark.parametrize("alphabet_size", [-3, 0, 1, 257])
+def test_bad_alphabet_raises_before_any_draw(alphabet_size):
+    # _randbelow never returns for a bound below 1, so the alphabet is
+    # checked before anything is drawn
+    rng = random.Random(0)
+    state = rng.getstate()
+    for make in (
+        lambda: random_word(4, rng, alphabet_size),
+        lambda: gen_member(2, 2, rng, alphabet_size),
+        lambda: gen_far(8, 0.1, rng, alphabet_size=alphabet_size),
+    ):
+        with pytest.raises(ValueError):
+            make()
+        assert rng.getstate() == state
 
 
 @settings(max_examples=25)

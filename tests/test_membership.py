@@ -1,3 +1,4 @@
+import importlib
 import random
 import time
 import tracemalloc
@@ -5,24 +6,57 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import all_words, member_constructions, member_words, mirrored_pairs_agree
+from helpers import (
+    RotatedDoubledView,
+    all_words,
+    brute_force_member,
+    kmp_member,
+    kmp_occurrences,
+    member_constructions,
+    member_words,
+    mirrored_pairs_agree,
+    reverse,
+)
+import twopal
 from twopal import membership
 from twopal import (
     Decomposition,
     distance_to_language,
     QueryLedger,
-    RotatedDoubledView,
     Word,
-    brute_force_member,
     check_symmetric_characterization,
     exact_member,
     gen_gamma,
     gen_member,
-    kmp_member,
-    kmp_occurrences,
     random_word,
-    reverse,
 )
+
+
+# --- the references stay in the tests ----------------------------------
+
+REFERENCE_NAMES = (
+    "brute_force_member",
+    "kmp_member",
+    "kmp_occurrences",
+    "_failure_function",
+    "RotatedDoubledView",
+    "reverse",
+    "_distance_baseline",
+    "mismatched_pairs",
+)
+
+
+@pytest.mark.parametrize(
+    "module", ["twopal", "twopal.words", "twopal.membership", "twopal.distance"]
+)
+def test_package_defines_no_reference_implementation(module):
+    namespace = vars(importlib.import_module(module))
+    assert [name for name in REFERENCE_NAMES if name in namespace] == []
+    assert not set(REFERENCE_NAMES) & set(twopal.__all__)
+
+
+def test_words_module_does_not_import_the_ledger():
+    assert "QueryLedger" not in vars(importlib.import_module("twopal.words"))
 
 
 # --- KMP ---------------------------------------------------------------

@@ -5,17 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import all_words
+from helpers import RotatedDoubledView, all_words, reverse
 from twopal import (
     QueryLedger,
-    RotatedDoubledView,
     Word,
     distance_to_language,
     exact_member,
     gen_sigma,
     quantum_test,
     random_word,
-    reverse,
 )
 from twopal.words import check_even_length
 
