@@ -52,7 +52,6 @@ CSV_COLUMNS = (
 MAX_SIZE = 2**25
 
 MODES = ("quantum", "classical", "exact")
-INSTANCE_CLASSES = ("member", "far")
 
 
 def _check_int(name: str, value: object) -> None:

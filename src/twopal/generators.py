@@ -116,12 +116,18 @@ def gen_far(
     """Uniform random word certified at distance >= ceil(epsilon * n).
 
     Raises FarInstanceError when the budget runs out, which signals that
-    epsilon is too large for this n (the distance never exceeds n/2).
+    epsilon is too large for this n, and before any draw when the threshold
+    exceeds n/2, a distance no word reaches: each split has n/2 mirror pairs.
     """
     check_even_length(n)
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     threshold = far_threshold(epsilon, n)
+    if threshold > n // 2:
+        raise FarInstanceError(
+            f"no far instance exists for n={n}, epsilon={epsilon}: the "
+            f"threshold {threshold} exceeds n/2 = {n // 2}, the largest distance"
+        )
     for _ in range(max_attempts):
         w = random_word(n, rng, alphabet_size)
         if distance_to_language(w).distance >= threshold:

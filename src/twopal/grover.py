@@ -13,13 +13,14 @@ with M growing by GROWTH_FACTOR per round from 1 (and never beyond sqrt(N)),
 until a measurement hits a solution or a hard cap of
 ceil(CAP_MULTIPLIER * sqrt(N)) total iterations is spent. Both are fixed
 constants, not settings, because the error bound the tester relies on holds
-for exactly these values. Each round charges its iterations plus one
-verification evaluation, all booked once when the search ends; with no
-solutions the full cap is charged, mirroring a real run that cannot stop
-early.
+for exactly these values. Each round costs its iterations plus one
+verification evaluation; with no solutions the search costs the full cap,
+mirroring a real run that cannot stop early.
 
-The round loop, search_solutions, takes the solution indices from its caller:
-the tester finds them privately, and uncharged, with its column-hit kernel.
+The simulator charges nothing: its outcome counts the evaluations, and the
+caller prices them (the tester books m input queries per evaluation). The
+round loop, search_solutions, takes the solution indices from its caller:
+the tester finds them privately, and uncharged, with its collision kernel.
 The solution count never reaches the caller through the outcome.
 """
 
@@ -31,8 +32,6 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
-
-from .ledger import QueryLedger
 
 
 # the completeness bound (search error at most 0.1 whenever a solution
@@ -60,6 +59,12 @@ class GroverOutcome:
     iterations_used: int
     rounds: list[RoundTrace] = field(default_factory=list)
 
+    @property
+    def evaluations(self) -> int:
+        """Predicate evaluations the search cost: k + 1 per round of k
+        iterations, or the iteration cap when no rounds ran."""
+        return self.iterations_used + len(self.rounds)
+
 
 def round_success_probability(k: int, theta: float) -> float:
     """Probability that measuring after k iterations yields a solution."""
@@ -83,17 +88,15 @@ def search_solutions(
     domain_size: int,
     solutions: Sequence[int],
     rng: random.Random,
-    cost_per_call: int = 1,
-    ledger: Optional[QueryLedger] = None,
 ) -> GroverOutcome:
     """Search [0, domain_size) whose solutions are the ascending indices
     in solutions.
 
-    Every charged predicate evaluation costs cost_per_call input queries on
-    the ledger: k + 1 per round (k iterations plus the verification
-    measurement), summed over the rounds and booked once when the search
-    ends, or the flat iteration cap when there are no solutions. On success
-    the returned index is uniform over the solutions.
+    The outcome's evaluations count what the search cost: k + 1 predicate
+    evaluations per round (k iterations plus the verification measurement),
+    or the flat iteration cap when there are no solutions. Nothing is
+    charged here; the caller books them. On success the returned index is
+    uniform over the solutions.
     """
     if domain_size < 1:
         raise ValueError("domain must be nonempty")
@@ -101,9 +104,6 @@ def search_solutions(
     cap = _iteration_cap(domain_size)
 
     if t == 0:
-        if ledger is not None:
-            ledger.charge_predicate(cap)
-            ledger.charge_quantum(cap * cost_per_call)
         return GroverOutcome(found=None, iterations_used=cap, rounds=[])
 
     theta = math.asin(math.sqrt(t / domain_size))
@@ -120,11 +120,6 @@ def search_solutions(
         if rng.random() < p:
             found = solutions[rng.randrange(t)]
             break
-    if ledger is not None:
-        # used + len(rounds) is the sum of k + 1 over the rounds
-        evaluations = used + len(rounds)
-        ledger.charge_predicate(evaluations)
-        ledger.charge_quantum(evaluations * cost_per_call)
     return GroverOutcome(found=found, iterations_used=used, rounds=rounds)
 
 

@@ -11,14 +11,16 @@ that has it, and searches the column grid for a matching right-shifted
 fingerprint - by simulated Grover search in the sublinear tester, by linear
 scan in the classical baseline (which uses sqrt-sized grids instead).
 
-Both testers learn which columns match from one kernel, `_column_hits`: it
-fingerprints every column on the first PREFIX_SHIFTS shifts only, and builds
-full fingerprints for the columns whose prefix some row shares. Every
+Both testers run one collision kernel, `_grid_hits`, once: it draws or
+checks the shift sample, charges the rows' step * m reads, fingerprints
+every column on the first PREFIX_SHIFTS shifts only, and builds full
+fingerprints for the columns whose prefix some row shares. Every
 fingerprint comes from a numpy gather, `_fingerprints`. A run's shifts are
 one read-only int64 array, OffsetSample.shifts, from the draw to every
-gather (negated for the rows, sliced for the prefixes). The kernel's reads
+gather (negated for the rows, sliced for the prefixes). The column reads
 are the simulation's own; they are counted as uncharged reads and never
-charged.
+charged. Every charge of both testers is booked in this module: the Grover
+simulator only counts its evaluations, and quantum_test prices each at m.
 
 For a member some grid pair matches on every shift, for any shift sample.
 For a word epsilon-far from the language, a fixed pair whose axis i + j is
@@ -37,7 +39,7 @@ import functools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -106,8 +108,11 @@ MAX_SHIFTS = (2**31 - 1) // 32
 
 def offset_count(n: int, epsilon: float) -> int:
     """Fingerprint length m = ceil((2/epsilon) * log2(n)); ValueError when
-    m exceeds MAX_SHIFTS, more than one sample can draw."""
-    _check_domain(n, epsilon)
+    m exceeds MAX_SHIFTS, more than one sample can draw, or when n is no
+    member length or epsilon lies outside (0, 1)."""
+    check_even_length(n)
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     m = (2.0 / epsilon) * math.log2(n)
     if m > MAX_SHIFTS:
         raise ValueError(
@@ -166,72 +171,59 @@ class Verdict:
     rounds: list[RoundTrace] = field(default_factory=list)
 
 
-def _check_domain(n: int, epsilon: float) -> None:
-    check_even_length(n)
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-
-
-def _build_left_table(
-    x: Word, grids: IndexGrids, sample: OffsetSample, ledger: QueryLedger
-) -> dict[bytes, int]:
-    """Map each row's left fingerprint to the first row that has it."""
-    ledger.read_classical(len(grids.i_set) * sample.m)
-    left = _fingerprints(x, grids.i_set, -sample.shifts)
-    # built backwards, so the first row with a fingerprint is the last write
-    return dict(zip(reversed(left), reversed(grids.i_set)))
-
-
 # columns are screened on this many shifts before any full fingerprint
 PREFIX_SHIFTS = 48
 
 
-def _column_hits(
+def _grid_hits(
     x: Word,
-    j_set: range,
-    sample: OffsetSample,
-    rows: dict[bytes, int],
-    ledger: QueryLedger,
-) -> dict[int, int]:
-    """Map each column k whose right fingerprint is a row key to the first
-    row that has it, in ascending k.
+    epsilon: float,
+    rng: random.Random,
+    sample: Optional[OffsetSample],
+    make_grids: Callable[[int], IndexGrids],
+) -> tuple[OffsetSample, IndexGrids, QueryLedger, dict[int, int]]:
+    """The collision kernel both testers run once: the shift sample, the
+    grids, a ledger holding the rows' charge, and the hit columns.
 
-    Every column's fingerprint on the first PREFIX_SHIFTS shifts is looked up
-    among the rows' prefixes first; only the columns that pass get a full
-    fingerprint, and when none passes nothing more is read. The symbols
-    read here find the search's solutions and go to ledger.uncharged_reads,
-    never to a charged count.
+    The sample is the caller's, checked to hold offset_count(n, epsilon)
+    shifts, or a fresh draw from rng. The ledger is charged step * m
+    classical reads for the row fingerprints. The hits map each column k
+    whose right fingerprint some row's left fingerprint equals to the first
+    such row, in ascending k. Every column's fingerprint on the first
+    PREFIX_SHIFTS shifts is looked up among the rows' prefixes first; only
+    the columns that pass get a full fingerprint, and when none passes
+    nothing more is read. Those column reads find the search's solutions and
+    go to ledger.uncharged_reads, never to a charged count.
     """
+    if sample is None:
+        sample = sample_offsets(x.n, epsilon, rng)
+    elif sample.m != (m := offset_count(x.n, epsilon)):
+        raise ValueError(
+            f"sample holds {sample.m} shifts, but n={x.n}, epsilon={epsilon} "
+            f"needs {m}"
+        )
+    grids = make_grids(x.n)
+    ledger = QueryLedger()
+    ledger.read_classical(len(grids.i_set) * sample.m)
+    left = _fingerprints(x, grids.i_set, -sample.shifts)
+    # built backwards, so the first row with a fingerprint is the last write
+    rows = dict(zip(reversed(left), reversed(grids.i_set)))
+
+    j_set = grids.j_set
     width = min(PREFIX_SHIFTS, sample.m)
     prefixes = {key[:width] for key in rows}
     heads = _fingerprints(x, j_set, sample.shifts[:width])
     candidates = [k for k, head in enumerate(heads) if head in prefixes]
     ledger.read_uncharged(len(j_set) * width)
     if not candidates:
-        return {}
+        return sample, grids, ledger, {}
     if width < sample.m:
         ledger.read_uncharged(len(candidates) * sample.m)
         columns = _fingerprints(x, [j_set[k] for k in candidates], sample.shifts)
     else:
         columns = [heads[k] for k in candidates]
-    return {k: rows[s] for k, s in zip(candidates, columns) if s in rows}
-
-
-def _shift_sample(
-    x: Word, epsilon: float, rng: random.Random, sample: Optional[OffsetSample]
-) -> OffsetSample:
-    """The caller's sample, checked to hold offset_count(n, epsilon) shifts,
-    or a fresh draw from rng."""
-    _check_domain(x.n, epsilon)
-    if sample is None:
-        return sample_offsets(x.n, epsilon, rng)
-    m = offset_count(x.n, epsilon)
-    if sample.m != m:
-        raise ValueError(
-            f"sample holds {sample.m} shifts, but n={x.n}, epsilon={epsilon} "
-            f"needs {m}"
-        )
-    return sample
+    hits = {k: rows[s] for k, s in zip(candidates, columns) if s in rows}
+    return sample, grids, ledger, hits
 
 
 def quantum_test(
@@ -252,14 +244,10 @@ def quantum_test(
     already made from rng, so the run is the one it would be without it; it
     must hold offset_count(x.n, epsilon) shifts (ValueError otherwise).
     """
-    sample = _shift_sample(x, epsilon, rng, sample)
-    ledger = QueryLedger()
-    grids = cube_grids(x.n)
-    rows = _build_left_table(x, grids, sample, ledger)
-    hits = _column_hits(x, grids.j_set, sample, rows, ledger)
-    outcome = search_solutions(
-        len(grids.j_set), list(hits), rng, cost_per_call=sample.m, ledger=ledger
-    )
+    sample, grids, ledger, hits = _grid_hits(x, epsilon, rng, sample, cube_grids)
+    outcome = search_solutions(len(grids.j_set), list(hits), rng)
+    ledger.charge_predicate(outcome.evaluations)
+    ledger.charge_quantum(outcome.evaluations * sample.m)
     found_pair = None
     if outcome.found is not None:
         found_pair = (hits[outcome.found], grids.j_set[outcome.found])
@@ -280,11 +268,7 @@ def classical_test(
     charged (k + 1) * m reads, what the scan read to reach it. sample is as
     for quantum_test: a draw already made from rng, of the checked length.
     """
-    sample = _shift_sample(x, epsilon, rng, sample)
-    ledger = QueryLedger()
-    grids = sqrt_grids(x.n)
-    rows = _build_left_table(x, grids, sample, ledger)
-    hits = _column_hits(x, grids.j_set, sample, rows, ledger)
+    sample, grids, ledger, hits = _grid_hits(x, epsilon, rng, sample, sqrt_grids)
     if hits:
         k = min(hits)
         ledger.read_classical((k + 1) * sample.m)

@@ -5,15 +5,9 @@ A word x of length n splits as x = u + reverse(u) + v + reverse(v) with u, v
 nonempty exactly when n is even, n >= 4, and some even split turns both halves
 into palindromes. The rotation-doubled view y(x) — x without its first symbol
 followed by x without its last symbol — is the key derived object: x belongs
-to the language iff reverse(x) occurs in y(x) at a suitable position. The
-decider `exact_member` never builds y(x); the test suite's reference walk
-reads it one charged symbol at a time (`RotatedDoubledView` in
-tests/helpers.py). A binary word whose length is a
-multiple of 8 and at least PACK_MIN is searched as bits, eight symbols to a
-byte: four texts of at most n/4 bytes, x rotated by 2, 4, 6 and 8 symbols
-and packed. Every other word is searched as symbol pairs of y(x)[1:], n - 2
-bytes when each pair packs into one byte (alphabets of at most 16 symbols)
-and 2n - 4 bytes otherwise.
+to the language iff reverse(x) occurs in y(x) at a suitable position.
+`exact_member` in membership.py decides that without building y(x); its
+module docstring describes how the search reads x.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import _distance_baseline, brute_force_member
 from twopal import (
     FarInstanceError,
+    distance_to_language,
     exact_member,
     far_threshold,
     gen_far,
@@ -14,6 +15,7 @@ from twopal import (
     gen_sigma,
     random_word,
 )
+from twopal import generators
 from twopal.generators import SCALAR_TAIL, _randbelow
 
 
@@ -75,6 +77,41 @@ def test_gen_far_certified():
 def test_gen_far_exhaustion():
     with pytest.raises(FarInstanceError):
         gen_far(6, 0.99, random.Random(0), max_attempts=100)
+
+
+@pytest.mark.parametrize("epsilon", [0.6, 0.99])
+@pytest.mark.parametrize("n", [4, 8, 1024, 2**18])
+def test_gen_far_refuses_an_unreachable_threshold_before_any_draw(
+    monkeypatch, n, epsilon
+):
+    # the distance never exceeds n/2, so no word can be certified
+    assert far_threshold(epsilon, n) > n // 2
+
+    def certify(*args, **kwargs):
+        raise AssertionError("an unreachable threshold certified a word")
+
+    monkeypatch.setattr(generators, "distance_to_language", certify)
+    rng = random.Random(n)
+    state = rng.getstate()
+    with pytest.raises(FarInstanceError, match="exceeds n/2"):
+        gen_far(n, epsilon, rng)
+    assert rng.getstate() == state
+
+
+def test_gen_far_still_searches_a_threshold_of_n_over_2(monkeypatch):
+    # n = 8, eps 0.45: ceil(3.6) = 4 = n/2 mirror pairs, not ruled out, so
+    # the whole budget is drawn and certified, as the seeded skip reason says
+    assert far_threshold(0.45, 8) == 4
+    calls = []
+
+    def certify(w):
+        calls.append(w)
+        return distance_to_language(w)
+
+    monkeypatch.setattr(generators, "distance_to_language", certify)
+    with pytest.raises(FarInstanceError, match="after 5 attempts$"):
+        gen_far(8, 0.45, random.Random(3), max_attempts=5)
+    assert len(calls) == 5
 
 
 def test_generator_domain_errors():

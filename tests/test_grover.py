@@ -1,10 +1,11 @@
+import inspect
 import math
 import random
 
 import pytest
 from mpmath import mp
 
-from twopal import QueryLedger, round_success_probability, schedule_success_probability
+from twopal import grover, round_success_probability, schedule_success_probability
 from twopal.grover import _iteration_cap, search_solutions
 
 mp.dps = 50
@@ -41,30 +42,22 @@ def test_round_probability_frozen_cases():
 
 def test_no_solutions_charges_full_cap():
     for domain in (1, 5, 64, 1000):
-        ledger = QueryLedger()
-        outcome = search_solutions(
-            domain, [], random.Random(7), cost_per_call=3, ledger=ledger
-        )
+        outcome = search_solutions(domain, [], random.Random(7))
         cap = _iteration_cap(domain)
         assert outcome.found is None
         assert outcome.iterations_used == cap
         assert outcome.rounds == []
-        assert ledger.quantum_charged == cap * 3
-        assert ledger.predicate_calls == cap
+        assert outcome.evaluations == cap
 
 
 def test_all_solutions_measures_immediately():
-    ledger = QueryLedger()
-    outcome = search_solutions(
-        16, range(16), random.Random(5), cost_per_call=2, ledger=ledger
-    )
+    outcome = search_solutions(16, range(16), random.Random(5))
     assert outcome.found is not None
     assert outcome.iterations_used == 0
     assert len(outcome.rounds) == 1
     assert outcome.rounds[0].iterations == 0
     assert abs(outcome.rounds[0].success_probability - 1.0) <= 1e-12
-    assert ledger.predicate_calls == 1
-    assert ledger.quantum_charged == 2
+    assert outcome.evaluations == 1
 
 
 def test_found_index_is_a_solution():
@@ -91,16 +84,29 @@ def test_iterations_and_charge_bounds():
     rng = random.Random(19)
     for domain, solutions in ((16, 1), (64, 3), (100, 10), (256, 1)):
         for _ in range(50):
-            ledger = QueryLedger()
-            outcome = search_solutions(
-                domain, range(solutions), rng, cost_per_call=5, ledger=ledger
-            )
+            outcome = search_solutions(domain, range(solutions), rng)
             cap = _iteration_cap(domain)
             assert outcome.iterations_used <= cap
-            assert ledger.quantum_charged <= (cap + len(outcome.rounds)) * 5
-            assert ledger.predicate_calls == sum(
+            assert outcome.evaluations <= cap + len(outcome.rounds)
+            assert outcome.evaluations == sum(
                 r.iterations + 1 for r in outcome.rounds
             )
+
+
+def test_simulator_counts_evaluations_and_charges_nothing():
+    params = list(inspect.signature(search_solutions).parameters)
+    assert params == ["domain_size", "solutions", "rng"]
+    assert not hasattr(grover, "QueryLedger")
+    rng = random.Random(23)
+    for domain in (1, 16, 100, 1000):
+        for solutions in ([], [0], range(0, domain, 7)):
+            outcome = search_solutions(domain, solutions, rng)
+            if outcome.rounds:
+                expected = sum(r.iterations + 1 for r in outcome.rounds)
+            else:
+                assert not solutions
+                expected = _iteration_cap(domain)
+            assert outcome.evaluations == expected
 
 
 def test_deterministic_given_seed():

@@ -26,15 +26,10 @@ from twopal import (
     sample_offsets,
     sqrt_grids,
 )
-from twopal.grover import search_solutions
+from twopal.grover import _iteration_cap, search_solutions
 from twopal.ledger import QueryLedger
 from twopal import tester
-from twopal.tester import (
-    PREFIX_SHIFTS,
-    _build_left_table,
-    _column_hits,
-    _fingerprints,
-)
+from twopal.tester import PREFIX_SHIFTS, _fingerprints, _grid_hits
 
 
 # --- integer roots and grids -------------------------------------------
@@ -546,10 +541,14 @@ def _scan_verdict(mode, x, epsilon, seed):
     hits = _scan_hits(x, grids, sample)
     rounds = []
     if mode == "quantum":
-        outcome = search_solutions(
-            len(grids.j_set), sorted(hits), rng, sample.m, ledger
-        )
+        outcome = search_solutions(len(grids.j_set), sorted(hits), rng)
         found, rounds = outcome.found, outcome.rounds
+        if rounds:
+            evaluations = sum(r.iterations + 1 for r in rounds)
+        else:
+            evaluations = _iteration_cap(len(grids.j_set))
+        ledger.charge_predicate(evaluations)
+        ledger.charge_quantum(evaluations * sample.m)
     else:
         found = min(hits, default=None)
         scanned = len(grids.j_set) if found is None else found + 1
@@ -572,12 +571,12 @@ def _check_against_scan(x, epsilon, seed):
     near_misses = 0
     for mode, run in (("quantum", quantum_test), ("classical", classical_test)):
         expected_hits, expected = _scan_verdict(mode, x, epsilon, seed)
-        sample = sample_offsets(x.n, epsilon, random.Random(seed))
-        grids = cube_grids(x.n) if mode == "quantum" else sqrt_grids(x.n)
-        rows = _build_left_table(x, grids, sample, QueryLedger())
-        ledger = QueryLedger()
-        hits = _column_hits(x, grids.j_set, sample, rows, ledger)
+        make_grids = cube_grids if mode == "quantum" else sqrt_grids
+        sample, grids, ledger, hits = _grid_hits(
+            x, epsilon, random.Random(seed), None, make_grids
+        )
         assert list(hits.items()) == expected_hits, (mode, x.symbols, seed)
+        assert ledger.classical_reads == grids.step * sample.m
         width = min(PREFIX_SHIFTS, sample.m)
         if width < sample.m:
             extra = ledger.uncharged_reads - len(grids.j_set) * width
@@ -750,6 +749,50 @@ def test_quantum_verdict_carries_its_rounds():
     assert classical_test(w, 0.1, random.Random(73)).rounds == []
 
 
+def test_both_testers_run_the_one_collision_kernel_once(monkeypatch):
+    removed = ("_build_left_table", "_column_hits", "_shift_sample", "_check_domain")
+    for name in removed:
+        assert not hasattr(tester, name), name
+    calls = []
+
+    def spy(*args):
+        calls.append(args[4])
+        return _grid_hits(*args)
+
+    monkeypatch.setattr(tester, "_grid_hits", spy)
+    w = gen_member(100, 412, random.Random(71))
+    testers = ((quantum_test, cube_grids), (classical_test, sqrt_grids))
+    for run, make_grids in testers:
+        calls.clear()
+        run(w, 0.1, random.Random(73))
+        assert calls == [make_grids]
+
+
+@pytest.mark.parametrize("n", [100, 1000, 3072, 5000, 65538])
+def test_far_charges_match_the_closed_forms_off_the_cube_sizes(n):
+    # a rejecting quantum run reads step * m for the rows, then pays m for
+    # each of the cap's evaluations; a rejecting classical run reads s * m
+    # for the rows and m for each of its ceil(n / s) columns
+    m = offset_count(n, 0.1)
+    step = icbrt(n)
+    cap = math.ceil(3 * math.sqrt(len(range(0, n, step))))
+    s = ceil_sqrt(n)
+    for seed in range(4):
+        far = gen_far(n, 0.1, random.Random(seed))
+        q = quantum_test(far, 0.1, random.Random(seed))
+        assert not q.accept and q.rounds == []
+        assert (q.ledger.classical_reads, q.ledger.quantum_charged) == (
+            step * m,
+            cap * m,
+        )
+        assert q.ledger.predicate_calls == cap
+        assert q.ledger.total_charged == m * (step + cap)
+        c = classical_test(far, 0.1, random.Random(seed))
+        assert not c.accept
+        assert c.ledger.total_charged == c.ledger.classical_reads
+        assert c.ledger.total_charged == m * (s + math.ceil(n / s))
+
+
 # --- fixed costs the kernel skips ----------------------------------------
 
 
@@ -774,12 +817,11 @@ def test_no_column_past_the_prefix_reads_nothing_more(monkeypatch, n, make_grids
     grids = make_grids(n)
     assert sample.m > PREFIX_SHIFTS
     assert _prefix_columns(far, grids, sample) == []
-    rows = _build_left_table(far, grids, sample, QueryLedger())
     calls = _spy_on_fingerprints(monkeypatch)
-    ledger = QueryLedger()
-    assert _column_hits(far, grids.j_set, sample, rows, ledger) == {}
-    # the prefix screen alone: no gather of full fingerprints
-    assert calls == [list(grids.j_set)]
+    _, _, ledger, hits = _grid_hits(far, 0.1, random.Random(7), sample, make_grids)
+    assert hits == {}
+    # the rows, then the prefix screen alone: no gather of full fingerprints
+    assert calls == [list(grids.i_set), list(grids.j_set)]
     assert ledger.uncharged_reads == len(grids.j_set) * min(PREFIX_SHIFTS, sample.m)
 
 
@@ -793,12 +835,14 @@ def test_full_fingerprints_are_gathered_for_the_prefix_candidates_only(
     grids = cube_grids(n)
     candidates = _prefix_columns(member, grids, sample)
     assert candidates
-    rows = _build_left_table(member, grids, sample, QueryLedger())
     calls = _spy_on_fingerprints(monkeypatch)
-    ledger = QueryLedger()
-    hits = _column_hits(member, grids.j_set, sample, rows, ledger)
+    _, _, ledger, hits = _grid_hits(member, 0.1, rng, sample, cube_grids)
     assert hits and set(hits) <= set(candidates)
-    assert calls == [list(grids.j_set), [grids.j_set[k] for k in candidates]]
+    assert calls == [
+        list(grids.i_set),
+        list(grids.j_set),
+        [grids.j_set[k] for k in candidates],
+    ]
     prefix_reads = len(grids.j_set) * PREFIX_SHIFTS
     assert ledger.uncharged_reads == prefix_reads + len(candidates) * sample.m
 
@@ -806,12 +850,24 @@ def test_full_fingerprints_are_gathered_for_the_prefix_candidates_only(
 def test_row_table_maps_each_fingerprint_to_its_first_row():
     n = 2**15
     sample = sample_offsets(n, 0.1, random.Random(11))
-    grids = cube_grids(n)
-    zeros = _build_left_table(Word(bytes(n)), grids, sample, QueryLedger())
-    assert zeros == {bytes(sample.m): 0}
     x = Word(bytes(int(i % 4 == 3) for i in range(n)))
-    expected = {}
-    for i in grids.i_set:
-        expected.setdefault(left(x, i, sample), i)
-    assert len(expected) == 4
-    assert _build_left_table(x, grids, sample, QueryLedger()) == expected
+    # the columns see the rows' table only through the row each one hits:
+    # the cube grid's columns are all 0 mod 4, the sqrt grid's 0 or 2 mod 4
+    for make_grids, first_rows in ((cube_grids, {2}), (sqrt_grids, {0, 2})):
+        grids = make_grids(n)
+        columns = range(len(grids.j_set))
+        # one fingerprint, first met at row 0: every column maps to row 0
+        _, _, _, zeros = _grid_hits(
+            Word(bytes(n)), 0.1, random.Random(11), sample, make_grids
+        )
+        assert zeros == dict.fromkeys(columns, 0)
+        expected = {}
+        for i in grids.i_set:
+            expected.setdefault(left(x, i, sample), i)
+        assert len(expected) == 4
+        _, _, _, hits = _grid_hits(x, 0.1, random.Random(11), sample, make_grids)
+        assert hits == {
+            k: expected[right(x, grids.j_set[k], sample)] for k in columns
+        }
+        # every column hits, at the first row of its residue mod 4
+        assert set(hits.values()) == first_rows
