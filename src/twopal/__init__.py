@@ -28,17 +28,13 @@ from .membership import (
     exact_member,
 )
 from .tester import (
-    IndexGrids,
-    OffsetSample,
     Verdict,
     ceil_sqrt,
     classical_test,
-    cube_grids,
     icbrt,
     offset_count,
     quantum_test,
     sample_offsets,
-    sqrt_grids,
 )
 from .words import Decomposition, Word
 
@@ -47,16 +43,13 @@ __all__ = [
     "DistanceResult",
     "FarInstanceError",
     "GroverOutcome",
-    "IndexGrids",
     "MembershipResult",
-    "OffsetSample",
     "QueryLedger",
     "Verdict",
     "Word",
     "ceil_sqrt",
     "check_symmetric_characterization",
     "classical_test",
-    "cube_grids",
     "distance_to_language",
     "exact_member",
     "far_threshold",
@@ -72,7 +65,6 @@ __all__ = [
     "round_success_probability",
     "sample_offsets",
     "schedule_success_probability",
-    "sqrt_grids",
 ]
 
 __version__ = "0.1.0"

@@ -79,7 +79,10 @@ class DistanceResult:
 
 
 def far_threshold(epsilon: float, n: int) -> int:
-    """ceil(epsilon * n), tolerating float rounding at integer products."""
+    """ceil(epsilon * n), tolerating float rounding at integer products;
+    ValueError when epsilon lies outside (0, 1), NaN included."""
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     return math.ceil(epsilon * n - 1e-9)
 
 
@@ -130,15 +133,15 @@ def _twiddles(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class _Plan:
     """This thread's transforms for one half-length h: the blocked shape
-    (N1, N2), views of the two workspace buffers (each buffer's first h
-    reals as an N2 x N1 grid and its first 2 * N2 * (N1 // 2 + 1) reals as
-    one spectrum of N2 x (N1 // 2 + 1) complex values) and the twiddle
-    tables, none for the (h, 1) shape, whose grid and spectrum are single
-    rows."""
+    (N1, N2), views of the two workspace buffers (the odd buffer's first h
+    reals as an N2 x N1 grid, and each buffer's first
+    2 * N2 * (N1 // 2 + 1) reals as one spectrum of N2 x (N1 // 2 + 1)
+    complex values) and the twiddle tables, none for the (h, 1) shape,
+    whose grid and spectrum are single rows."""
 
     h: int
     shape: tuple[int, int]
-    reals: tuple[np.ndarray, np.ndarray]
+    real: np.ndarray
     spectra: tuple[np.ndarray, np.ndarray]
     twiddles: tuple[np.ndarray, ...]
 
@@ -162,12 +165,12 @@ def _plan(h: int) -> _Plan:
     buffers = getattr(_workspace, "buffers", ())
     if not buffers or buffers[0].size < size:
         buffers = _workspace.buffers = (np.empty(size), np.empty(size))
-    reals = tuple(buf[:h].reshape(n2, n1) for buf in buffers)
+    real = buffers[1][:h].reshape(n2, n1)
     spectra = tuple(
         buf[:size].view(np.complex128).reshape(n2, cols) for buf in buffers
     )
     twiddles = _twiddles(n1, n2) if n2 > 1 else ()
-    plan = _workspace.plan = _Plan(h, (n1, n2), reals, spectra, twiddles)
+    plan = _workspace.plan = _Plan(h, (n1, n2), real, spectra, twiddles)
     return plan
 
 
@@ -220,12 +223,17 @@ def _inverse(power: np.ndarray, plan: _Plan) -> np.ndarray:
     if plan.twiddles:
         np.fft.ifft(power, axis=0, out=power)
         _twiddle(power, plan.twiddles, inverse=True)
-    return np.fft.irfft(power, plan.shape[0], axis=1, out=plan.reals[1])
+    return np.fft.irfft(power, plan.shape[0], axis=1, out=plan.real)
 
 
-def _distance_fast(x: Word) -> DistanceResult:
-    n = x.n
-    h = n // 2
+def distance_to_language(x: Word) -> DistanceResult:
+    """Minimum Hamming distance from x to any two-palindrome concatenation.
+
+    Exact, by one length-n/2 cyclic convolution, O(n log n) at every size.
+    Among the best splits the reported one has the smallest |u|.
+    """
+    check_even_length(x.n)
+    h = x.n // 2
     arr = np.frombuffer(x.symbols, dtype=np.uint8)
     lo, hi = int(arr.min()), int(arr.max())
     if lo == hi:
@@ -235,7 +243,7 @@ def _distance_fast(x: Word) -> DistanceResult:
     # each half as the N2 x N1 grid whose cell [j2, j1] is its position
     # N2 * j1 + j2, that is, symbol 2 * (N2 * j1 + j2) + parity
     even, odd = arr.reshape(*plan.shape, 2).T
-    real_odd = plan.reals[1]
+    real_odd = plan.real
     spec_even, spec_odd = plan.spectra
     # split a pairs even index 2*alpha with odd index 2*beta + 1 exactly when
     # alpha + beta = a - 1 (mod h): a length-h cyclic convolution per symbol.
@@ -290,16 +298,8 @@ def _distance_fast(x: Word) -> DistanceResult:
     return DistanceResult(h - int(columns[j1]), Decomposition(a, h - a))
 
 
-def distance_to_language(x: Word) -> DistanceResult:
-    """Minimum Hamming distance from x to any two-palindrome concatenation.
-
-    Exact, by one length-n/2 cyclic convolution, O(n log n) at every size.
-    Among the best splits the reported one has the smallest |u|.
-    """
-    check_even_length(x.n)
-    return _distance_fast(x)
-
-
 def is_eps_far(x: Word, epsilon: float) -> bool:
-    """True iff x is at distance >= ceil(epsilon * n) from every member."""
-    return distance_to_language(x).distance >= far_threshold(epsilon, x.n)
+    """True iff x is at distance >= ceil(epsilon * n) from every member;
+    ValueError, before any transform, when epsilon lies outside (0, 1)."""
+    threshold = far_threshold(epsilon, x.n)
+    return distance_to_language(x).distance >= threshold

@@ -99,12 +99,6 @@ class ExperimentConfig:
         for name in ("trials", "seed", "workers", "max_far_attempts", "alphabet_size"):
             _check_int(name, getattr(self, name))
         _check_real("member_fraction", self.member_fraction)
-        for name in ("sizes", "epsilons", "modes"):
-            values = getattr(self, name)
-            if not values:
-                raise ValueError(f"{name} must not be empty")
-            if len(set(values)) != len(values):
-                raise ValueError(f"{name} must not repeat entries, got {list(values)}")
         for n in self.sizes:
             _check_int("sizes entry", n)
             if n < 4 or n % 2:
@@ -119,13 +113,20 @@ class ExperimentConfig:
             _check_real("epsilons entry", eps)
             if not 0.0 < eps < 1.0:
                 raise ValueError(f"epsilons must lie in (0, 1), got {eps}")
+        for mode in self.modes:
+            if mode not in MODES:
+                raise ValueError(f"unknown mode {mode!r}")
+        # set() needs hashable entries, so the entries are checked first
+        for name in ("sizes", "epsilons", "modes"):
+            values = getattr(self, name)
+            if not values:
+                raise ValueError(f"{name} must not be empty")
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat entries, got {list(values)}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not 0.0 <= self.member_fraction <= 1.0:
             raise ValueError("member_fraction must lie in [0, 1]")
-        for mode in self.modes:
-            if mode not in MODES:
-                raise ValueError(f"unknown mode {mode!r}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.max_far_attempts < 1:
@@ -223,10 +224,10 @@ def _trial_seed(base_seed: int, cell_key: str, trial: int) -> int:
     return base_seed ^ int.from_bytes(digest, "big")
 
 
-def _run_mode(mode: str, x, epsilon: float, rng: random.Random, sample) -> tuple:
+def _run_mode(mode: str, x, epsilon: float, rng: random.Random, shifts) -> tuple:
     if mode != "exact":
         tester = quantum_test if mode == "quantum" else classical_test
-        verdict = tester(x, epsilon, rng, sample)
+        verdict = tester(x, epsilon, rng, shifts)
         ledger = verdict.ledger
         return (verdict.accept, ledger.total_charged, ledger.classical_reads)
     ledger = QueryLedger()
@@ -238,7 +239,7 @@ def _run_trial(config: ExperimentConfig, key: tuple) -> list[tuple]:
     """One seeded trial, wholly described by config and key = (n, epsilon,
     class, trial index): build the instance once and, when config.modes holds
     a tester mode, draw the testers' shift sample once right after it. Then
-    run the instance under every mode of config.modes, handing the sample to
+    run the instance under every mode of config.modes, handing the shifts to
     each tester, which continues exactly as if it had drawn it itself. Only
     the quantum tester draws from rng after that, so every mode starts from
     the state the draw left. Returns one (outcome, seconds) per mode, where
@@ -261,14 +262,14 @@ def _run_trial(config: ExperimentConfig, key: tuple) -> list[tuple]:
         share = (time.perf_counter() - start) / len(modes)
         return [(str(exc), share)] * len(modes)
     # both testers start by drawing the same shifts from the same state
-    sample = None
+    shifts = None
     if any(mode != "exact" for mode in modes):
-        sample = sample_offsets(n, epsilon, rng)
+        shifts = sample_offsets(n, epsilon, rng)
     share = (time.perf_counter() - start) / len(modes)
     results = []
     for mode in modes:
         start = time.perf_counter()
-        outcome = _run_mode(mode, x, epsilon, rng, sample)
+        outcome = _run_mode(mode, x, epsilon, rng, shifts)
         results.append((outcome, share + time.perf_counter() - start))
     return results
 

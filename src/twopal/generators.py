@@ -120,8 +120,6 @@ def gen_far(
     exceeds n/2, a distance no word reaches: each split has n/2 mirror pairs.
     """
     check_even_length(n)
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
     threshold = far_threshold(epsilon, n)
     if threshold > n // 2:
         raise FarInstanceError(

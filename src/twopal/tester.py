@@ -11,13 +11,14 @@ that has it, and searches the column grid for a matching right-shifted
 fingerprint - by simulated Grover search in the sublinear tester, by linear
 scan in the classical baseline (which uses sqrt-sized grids instead).
 
-Both testers run one collision kernel, `_grid_hits`, once: it draws or
-checks the shift sample, charges the rows' step * m reads, fingerprints
-every column on the first PREFIX_SHIFTS shifts only, and builds full
-fingerprints for the columns whose prefix some row shares. Every
-fingerprint comes from a numpy gather, `_fingerprints`. A run's shifts are
-one read-only int64 array, OffsetSample.shifts, from the draw to every
-gather (negated for the rows, sliced for the prefixes). The column reads
+Both testers run one collision kernel, `_grid_hits`, once, handing it
+their step function (icbrt or ceil_sqrt): it draws or checks the shifts,
+charges the rows' step * m reads, fingerprints every column on the first
+PREFIX_SHIFTS shifts only, and builds full fingerprints for the columns
+whose prefix some row shares. Every fingerprint comes from a numpy gather,
+`_fingerprints`. A run's shifts are one int64 array from the draw to every
+gather (negated for the rows, sliced for the prefixes); the rows are
+np.arange(step) and the columns np.arange(0, n, step). The column reads
 are the simulation's own; they are counted as uncharged reads and never
 charged. Every charge of both testers is booked in this module: the Grover
 simulator only counts its evaluations, and quantum_test prices each at m.
@@ -70,37 +71,6 @@ def ceil_sqrt(n: int) -> int:
     return r if r * r == n else r + 1
 
 
-@dataclass(frozen=True, eq=False)
-class OffsetSample:
-    """The random shifts p_1..p_m shared by all fingerprints of one run.
-
-    shifts is a read-only int64 array, copied from whatever sequence of
-    ints the sample is built from (a tuple, or _randbelow's draws), and every
-    gather reads it directly. An array does not compare by value, so samples
-    compare by identity.
-    """
-
-    shifts: np.ndarray
-
-    def __post_init__(self) -> None:
-        shifts = np.array(self.shifts, dtype=np.int64)
-        shifts.flags.writeable = False
-        object.__setattr__(self, "shifts", shifts)
-
-    @property
-    def m(self) -> int:
-        return len(self.shifts)
-
-
-@dataclass(frozen=True)
-class IndexGrids:
-    """Row grid [0, step), column grid of multiples of step below n."""
-
-    i_set: range
-    j_set: range
-    step: int
-
-
 # _randbelow first asks getrandbits for 32 bits per shift, and getrandbits
 # takes its bit count as a C int
 MAX_SHIFTS = (2**31 - 1) // 32
@@ -122,24 +92,17 @@ def offset_count(n: int, epsilon: float) -> int:
     return math.ceil(m)
 
 
-def sample_offsets(n: int, epsilon: float, rng: random.Random) -> OffsetSample:
-    """Draw m shifts uniformly with replacement from [0, n).
+def sample_offsets(n: int, epsilon: float, rng: random.Random) -> np.ndarray:
+    """Draw m shifts uniformly with replacement from [0, n), as a read-only
+    int64 array.
 
     The shifts, and the state rng is left in, are exactly those of m calls
     rng.randrange(n) for n < 2^32 (see generators._randbelow).
     """
     m = offset_count(n, epsilon)
-    return OffsetSample(_randbelow(rng, n, m))
-
-
-def cube_grids(n: int) -> IndexGrids:
-    step = icbrt(n)
-    return IndexGrids(range(step), range(0, n, step), step)
-
-
-def sqrt_grids(n: int) -> IndexGrids:
-    step = ceil_sqrt(n)
-    return IndexGrids(range(step), range(0, n, step), step)
+    shifts = _randbelow(rng, n, m).astype(np.int64)
+    shifts.flags.writeable = False
+    return shifts
 
 
 # a run gathers rows of two widths, m and the prefix; the bound only keeps
@@ -155,9 +118,6 @@ def _fingerprints(
 ) -> list[bytes]:
     """Row k is (x[(starts[k] + p) mod n] for each p in shifts). Charges no
     ledger; callers charge the reads they stand for."""
-    if isinstance(starts, range):
-        # np.asarray walks a range item by item; np.arange does not
-        starts = np.arange(starts.start, starts.stop, starts.step, dtype=np.int64)
     idx = np.add.outer(np.asarray(starts, dtype=np.int64), shifts)
     block = np.frombuffer(x.symbols, np.uint8).take(idx, mode="wrap")
     return block.view(_row_dtype(block.shape[1])).ravel().tolist()
@@ -179,60 +139,63 @@ def _grid_hits(
     x: Word,
     epsilon: float,
     rng: random.Random,
-    sample: Optional[OffsetSample],
-    make_grids: Callable[[int], IndexGrids],
-) -> tuple[OffsetSample, IndexGrids, QueryLedger, dict[int, int]]:
-    """The collision kernel both testers run once: the shift sample, the
-    grids, a ledger holding the rows' charge, and the hit columns.
+    shifts: Optional[Sequence[int] | np.ndarray],
+    step_of: Callable[[int], int],
+) -> tuple[np.ndarray, int, QueryLedger, dict[int, int]]:
+    """The collision kernel both testers run once: the shifts, the grid
+    step, a ledger holding the rows' charge, and the hit columns.
 
-    The sample is the caller's, checked to hold offset_count(n, epsilon)
-    shifts, or a fresh draw from rng. The ledger is charged step * m
-    classical reads for the row fingerprints. The hits map each column k
-    whose right fingerprint some row's left fingerprint equals to the first
-    such row, in ascending k. Every column's fingerprint on the first
-    PREFIX_SHIFTS shifts is looked up among the rows' prefixes first; only
-    the columns that pass get a full fingerprint, and when none passes
-    nothing more is read. Those column reads find the search's solutions and
-    go to ledger.uncharged_reads, never to a charged count.
+    The shifts are the caller's, as an int64 array checked to hold
+    offset_count(n, epsilon) of them, or a fresh draw from rng. The step is
+    step_of(n); row i runs over [0, step) and column k is k * step, below
+    n. The ledger is charged step * m classical reads for the row
+    fingerprints. The hits map each column k whose right fingerprint some
+    row's left fingerprint equals to the first such row, in ascending k.
+    Every column's fingerprint on the first PREFIX_SHIFTS shifts is looked
+    up among the rows' prefixes first; only the columns that pass get a
+    full fingerprint, and when none passes nothing more is read. Those
+    column reads find the search's solutions and go to
+    ledger.uncharged_reads, never to a charged count.
     """
-    if sample is None:
-        sample = sample_offsets(x.n, epsilon, rng)
-    elif sample.m != (m := offset_count(x.n, epsilon)):
+    m = offset_count(x.n, epsilon)
+    if shifts is None:
+        shifts = sample_offsets(x.n, epsilon, rng)
+    shifts = np.asarray(shifts, np.int64)
+    if len(shifts) != m:
         raise ValueError(
-            f"sample holds {sample.m} shifts, but n={x.n}, epsilon={epsilon} "
-            f"needs {m}"
+            f"got {len(shifts)} shifts, but n={x.n}, epsilon={epsilon} needs {m}"
         )
-    grids = make_grids(x.n)
+    step = step_of(x.n)
     ledger = QueryLedger()
-    ledger.read_classical(len(grids.i_set) * sample.m)
-    left = _fingerprints(x, grids.i_set, -sample.shifts)
+    ledger.read_classical(step * m)
+    left = _fingerprints(x, np.arange(step), -shifts)
     # built backwards, so the first row with a fingerprint is the last write
-    rows = dict(zip(reversed(left), reversed(grids.i_set)))
+    rows = dict(zip(reversed(left), reversed(range(step))))
 
-    j_set = grids.j_set
-    width = min(PREFIX_SHIFTS, sample.m)
+    columns = np.arange(0, x.n, step)
+    width = min(PREFIX_SHIFTS, m)
     prefixes = {key[:width] for key in rows}
-    heads = _fingerprints(x, j_set, sample.shifts[:width])
+    heads = _fingerprints(x, columns, shifts[:width])
     candidates = [k for k, head in enumerate(heads) if head in prefixes]
-    ledger.read_uncharged(len(j_set) * width)
+    ledger.read_uncharged(len(columns) * width)
     if not candidates:
-        return sample, grids, ledger, {}
-    if width < sample.m:
-        ledger.read_uncharged(len(candidates) * sample.m)
-        columns = _fingerprints(x, [j_set[k] for k in candidates], sample.shifts)
+        return shifts, step, ledger, {}
+    if width < m:
+        ledger.read_uncharged(len(candidates) * m)
+        full = _fingerprints(x, columns[candidates], shifts)
     else:
-        columns = [heads[k] for k in candidates]
-    hits = {k: rows[s] for k, s in zip(candidates, columns) if s in rows}
-    return sample, grids, ledger, hits
+        full = [heads[k] for k in candidates]
+    hits = {k: rows[s] for k, s in zip(candidates, full) if s in rows}
+    return shifts, step, ledger, hits
 
 
 def quantum_test(
     x: Word,
     epsilon: float,
     rng: random.Random,
-    sample: Optional[OffsetSample] = None,
+    shifts: Optional[Sequence[int] | np.ndarray] = None,
 ) -> Verdict:
-    """Sublinear tester: cube-root grids, a table of row fingerprints,
+    """Sublinear tester: cube-root step, a table of row fingerprints,
     simulated Grover search over the column grid.
 
     Accepts members with the search's success probability (error <= 0.1);
@@ -240,17 +203,17 @@ def quantum_test(
     charged queries are O((1/epsilon) * n^(1/3) * log n): step * m classical
     reads to fill the row table, then m per charged search evaluation.
 
-    sample, when given, stands for the draw sample_offsets(x.n, epsilon, rng)
+    shifts, when given, stands for the draw sample_offsets(x.n, epsilon, rng)
     already made from rng, so the run is the one it would be without it; it
-    must hold offset_count(x.n, epsilon) shifts (ValueError otherwise).
+    must hold offset_count(x.n, epsilon) ints (ValueError otherwise).
     """
-    sample, grids, ledger, hits = _grid_hits(x, epsilon, rng, sample, cube_grids)
-    outcome = search_solutions(len(grids.j_set), list(hits), rng)
+    shifts, step, ledger, hits = _grid_hits(x, epsilon, rng, shifts, icbrt)
+    outcome = search_solutions(len(range(0, x.n, step)), list(hits), rng)
     ledger.charge_predicate(outcome.evaluations)
-    ledger.charge_quantum(outcome.evaluations * sample.m)
+    ledger.charge_quantum(outcome.evaluations * len(shifts))
     found_pair = None
     if outcome.found is not None:
-        found_pair = (hits[outcome.found], grids.j_set[outcome.found])
+        found_pair = (hits[outcome.found], outcome.found * step)
     return Verdict(outcome.found is not None, ledger, found_pair, outcome.rounds)
 
 
@@ -258,20 +221,20 @@ def classical_test(
     x: Word,
     epsilon: float,
     rng: random.Random,
-    sample: Optional[OffsetSample] = None,
+    shifts: Optional[Sequence[int] | np.ndarray] = None,
 ) -> Verdict:
-    """Baseline tester with sqrt-sized grids and a column scan that stops at
-    the first hit.
+    """Baseline tester with a sqrt-sized step and a column scan that stops
+    at the first hit.
 
     The scan has no search error, so members are always accepted; charged
     queries are about 2 * sqrt(n) * m, all classical. A hit at column k is
-    charged (k + 1) * m reads, what the scan read to reach it. sample is as
+    charged (k + 1) * m reads, what the scan read to reach it. shifts are as
     for quantum_test: a draw already made from rng, of the checked length.
     """
-    sample, grids, ledger, hits = _grid_hits(x, epsilon, rng, sample, sqrt_grids)
+    shifts, step, ledger, hits = _grid_hits(x, epsilon, rng, shifts, ceil_sqrt)
     if hits:
         k = min(hits)
-        ledger.read_classical((k + 1) * sample.m)
-        return Verdict(True, ledger, (hits[k], grids.j_set[k]))
-    ledger.read_classical(len(grids.j_set) * sample.m)
+        ledger.read_classical((k + 1) * len(shifts))
+        return Verdict(True, ledger, (hits[k], k * step))
+    ledger.read_classical(len(range(0, x.n, step)) * len(shifts))
     return Verdict(False, ledger, None)

@@ -47,18 +47,18 @@ def member_words(n, alphabet_size=2):
             yield word
 
 
-def left(x, i, sample):
+def left(x, i, shifts):
     """Row i's fingerprint (x[(i - p) mod n] for each shift p), read one
     symbol at a time: the reference for the tester's gathered rows."""
     s, n = x.symbols, x.n
-    return bytes([s[(i - p) % n] for p in sample.shifts.tolist()])
+    return bytes([s[(i - p) % n] for p in np.asarray(shifts).tolist()])
 
 
-def right(x, j, sample):
+def right(x, j, shifts):
     """Column j's fingerprint (x[(j + p) mod n] for each shift p), read one
     symbol at a time: the reference for the tester's gathered columns."""
     s, n = x.symbols, x.n
-    return bytes([s[(j + p) % n] for p in sample.shifts.tolist()])
+    return bytes([s[(j + p) % n] for p in np.asarray(shifts).tolist()])
 
 
 def mirrored_pairs_agree(x, d):

@@ -13,13 +13,12 @@ from helpers import all_words, brute_force_member, left, member_constructions, r
 from twopal import (
     Decomposition,
     DistanceResult,
-    OffsetSample,
     QueryLedger,
     check_symmetric_characterization,
-    cube_grids,
     distance_to_language,
     exact_member,
     gen_member,
+    icbrt,
     random_word,
     round_success_probability,
     schedule_success_probability,
@@ -86,15 +85,15 @@ def test_criterion_03_every_member_has_a_grid_pair():
     checked = 0
     failures = 0
     for n in range(4, 17, 2):
-        grids = cube_grids(n)
+        step = icbrt(n)
         for w, a in member_constructions(n):
             target = 2 * a - 1
-            beta = target % grids.step
+            beta = target % step
             j = target - beta
-            ok = beta in grids.i_set and j in grids.j_set and beta + j == target
+            ok = beta in range(step) and j in range(0, n, step) and beta + j == target
             for _ in range(100):
-                sample = OffsetSample(tuple(rng.randrange(n) for _ in range(8)))
-                if left(w, beta, sample) != right(w, j, sample):
+                shifts = [rng.randrange(n) for _ in range(8)]
+                if left(w, beta, shifts) != right(w, j, shifts):
                     ok = False
                     break
             checked += 1

@@ -216,15 +216,26 @@ def test_experiment_assert_failure_exits_nonzero(tmp_path, capsys):
         {"sizes": [16], "epsilons": [0.2], "trials": "x", "modes": ["exact"]},
         [16, 0.2],
         {"epsilons": [0.2], "trials": 2, "modes": ["exact"]},
+        {"sizes": [[16]], "epsilons": [0.2], "trials": 2, "modes": ["exact"]},
+        {"sizes": [16], "epsilons": [0.2], "trials": 2, "modes": [{}]},
     ],
-    ids=["sizes-not-a-list", "trials-not-an-int", "top-level-list", "sizes-missing"],
+    ids=[
+        "sizes-not-a-list",
+        "trials-not-an-int",
+        "top-level-list",
+        "sizes-missing",
+        "sizes-entry-a-list",
+        "modes-entry-an-object",
+    ],
 )
 def test_experiment_malformed_config_is_a_usage_error(tmp_path, capsys, raw):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(raw))
     out = tmp_path / "report.csv"
     assert main(["experiment", "--config", str(config), "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
     assert not out.exists()
 
 

@@ -58,6 +58,23 @@ def test_far_threshold_rounding():
     assert far_threshold(0.25, 8) == 2
 
 
+@pytest.mark.parametrize("epsilon", [0.0, 1.0, -1.0, 1.5, math.nan])
+def test_epsilon_outside_the_open_unit_interval_is_refused(epsilon):
+    # one check, in far_threshold: is_eps_far no longer calls every word far
+    # at epsilon <= 0, and gen_far still refuses before any draw
+    refused = pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\)")
+    with refused:
+        far_threshold(epsilon, 8)
+    for text in ("0000", "01101001", "100000"):
+        with refused:
+            is_eps_far(Word.from_text(text), epsilon)
+    rng = random.Random(5)
+    state = rng.getstate()
+    with refused:
+        gen_far(8, epsilon, rng)
+    assert rng.getstate() == state
+
+
 def test_domain_errors():
     for text in ("", "01", "010", "01010"):
         with pytest.raises(ValueError):
@@ -496,7 +513,7 @@ def test_factored_twiddles_stay_small_at_2_21():
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    buffers = sum(real.base.nbytes for real in _workspace.plan.reals)
+    buffers = sum(buf.nbytes for buf in _workspace.buffers)
     # the full (N1/2 + 1) x N2 table would hold about n/4 complex values
     # (8 MB); the factored pair holds 2 * 513 * 32 of them (0.5 MB)
     assert retained - buffers < 0.04 * (n // 2) * 16
@@ -558,11 +575,12 @@ def test_one_workspace_serves_every_size_after_the_largest():
     assert expected[1] == [_distance_baseline(w) for w in words[1]]
     first = plans[0]
     for plan in plans[1:]:
+        assert np.shares_memory(plan.real, first.real)
         for buf in (0, 1):
-            assert np.shares_memory(plan.reals[buf], first.reals[buf])
             assert np.shares_memory(plan.spectra[buf], first.spectra[buf])
     assert plans[3].shape == first.shape
-    assert plans[3].reals[0].base is first.reals[0].base
+    assert plans[3].spectra[0].base is first.spectra[0].base
+    assert plans[3].real.base is first.real.base
 
 
 def test_twiddle_tables_are_computed_once_per_shape():
@@ -606,7 +624,7 @@ def test_inverse_runs_its_column_ifft_in_place_into_the_odd_buffer(
         if shape[1] > 1:
             _, a, out = calls[0]
             assert out is a
-        assert calls[-1][2] is _plan(h).reals[1]
+        assert calls[-1][2] is _plan(h).real
 
 
 def test_unrounded_counts_are_within_1e_6_of_integers_at_2_21(monkeypatch):
@@ -731,7 +749,7 @@ def test_tiled_indicator_equals_the_one_call_write(h, shape):
     assert shape[1] == 1 or shape[0] > INDICATOR_TILE
     arr = np.random.default_rng(h).integers(0, 3, 2 * h, dtype=np.uint8)
     plan = _plan(h)
-    out = plan.reals[1]
+    out = plan.real
     for half in arr.reshape(*plan.shape, 2).T:
         for sym in range(3):
             expected = np.equal(half, sym).astype(np.float64)

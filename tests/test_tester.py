@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import all_words, left, member_constructions, member_words, right
+import twopal
 from twopal import (
-    OffsetSample,
     Word,
     ceil_sqrt,
     classical_test,
-    cube_grids,
     distance_to_language,
     far_threshold,
     gen_far,
@@ -24,7 +23,6 @@ from twopal import (
     quantum_test,
     random_word,
     sample_offsets,
-    sqrt_grids,
 )
 from twopal.grover import _iteration_cap, search_solutions
 from twopal.ledger import QueryLedger
@@ -60,23 +58,33 @@ def test_ceil_sqrt_property(n):
     assert (r - 1) ** 2 < n <= r * r or (n == 0 and r == 0)
 
 
-def test_grid_invariants():
-    for n in (4, 6, 8, 27, 100, 512, 2**12, 2**15, 2**18, 2**21):
-        grids = cube_grids(n)
-        assert len(grids.i_set) == grids.step == icbrt(n)
-        assert all(j % grids.step == 0 for j in grids.j_set)
-        assert all(0 <= j < n for j in grids.j_set)
-        assert len(grids.j_set) == (n - 1) // grids.step + 1
-        sg = sqrt_grids(n)
-        assert sg.step == ceil_sqrt(n)
-        assert all(0 <= j < n for j in sg.j_set)
+def _kernel_grids(monkeypatch, n, step_of):
+    """The row and column starts the kernel gathers at length n."""
+    calls = _spy_on_fingerprints(monkeypatch)
+    _grid_hits(Word(bytes(n)), 0.5, random.Random(0), None, step_of)
+    rows, columns = calls[:2]
+    return rows, columns
 
 
-def test_smallest_sizes_degenerate_to_pair_search():
-    grids = cube_grids(4)
-    assert grids.step == 1
-    assert list(grids.i_set) == [0]
-    assert len(grids.j_set) == 4
+def test_grid_invariants(monkeypatch):
+    # the kernel serves even lengths only: 26 and 28 straddle the cube 27
+    for n in (4, 6, 8, 26, 28, 100, 512, 2**12, 2**15, 2**18, 2**21):
+        rows, columns = _kernel_grids(monkeypatch, n, icbrt)
+        step = icbrt(n)
+        assert rows == list(range(step))
+        assert all(j % step == 0 for j in columns)
+        assert all(0 <= j < n for j in columns)
+        assert len(columns) == (n - 1) // step + 1
+        rows, columns = _kernel_grids(monkeypatch, n, ceil_sqrt)
+        assert len(rows) == ceil_sqrt(n)
+        assert all(0 <= j < n for j in columns)
+
+
+def test_smallest_sizes_degenerate_to_pair_search(monkeypatch):
+    rows, columns = _kernel_grids(monkeypatch, 4, icbrt)
+    assert icbrt(4) == 1
+    assert rows == [0]
+    assert len(columns) == 4
 
 
 # --- offsets and fingerprints ------------------------------------------
@@ -98,9 +106,9 @@ def test_offset_count_domain_errors():
 
 
 def test_sample_offsets_shape():
-    sample = sample_offsets(1024, 0.1, random.Random(3))
-    assert sample.m == 200
-    assert all(0 <= p < 1024 for p in sample.shifts.tolist())
+    shifts = sample_offsets(1024, 0.1, random.Random(3))
+    assert len(shifts) == 200
+    assert all(0 <= p < 1024 for p in shifts.tolist())
 
 
 @pytest.mark.parametrize("n", [4, 6, 16, 514, 1000, 1024, 1 << 21])
@@ -108,26 +116,26 @@ def test_sample_offsets_reproduces_randrange_stream_and_state(n):
     for seed in range(200):
         epsilon = (0.1, 0.3, 0.7)[seed % 3]
         batched, reference = random.Random(seed), random.Random(seed)
-        sample = sample_offsets(n, epsilon, batched)
+        shifts = sample_offsets(n, epsilon, batched)
         m = offset_count(n, epsilon)
-        assert sample.shifts.tolist() == [reference.randrange(n) for _ in range(m)]
+        assert shifts.tolist() == [reference.randrange(n) for _ in range(m)]
         assert batched.getstate() == reference.getstate()
 
 
 def test_fingerprint_frozen_examples():
     x = Word.from_text("01101001")
-    assert left(x, 1, OffsetSample((1, 2))) == bytes([0, 1])
-    assert left(x, 0, OffsetSample((1,))) == bytes([1])
-    assert right(x, 2, OffsetSample((1, 2))) == bytes([0, 1])
+    assert left(x, 1, (1, 2)) == bytes([0, 1])
+    assert left(x, 0, (1,)) == bytes([1])
+    assert right(x, 2, (1, 2)) == bytes([0, 1])
     assert _fingerprints(x, [1, 0], [-1, -2]) == [bytes([0, 1]), bytes([1, 0])]
     assert _fingerprints(x, [2], [1, 2]) == [bytes([0, 1])]
 
 
 def test_uniform_word_fingerprints_uniform():
     x = Word.from_text("0000")
-    sample = OffsetSample((0, 1, 2, 3, 1))
-    assert _fingerprints(x, range(4), -sample.shifts) == [bytes(5)] * 4
-    assert _fingerprints(x, range(4), sample.shifts) == [bytes(5)] * 4
+    shifts = np.array([0, 1, 2, 3, 1])
+    assert _fingerprints(x, range(4), -shifts) == [bytes(5)] * 4
+    assert _fingerprints(x, range(4), shifts) == [bytes(5)] * 4
 
 
 def _per_symbol(x, starts, shifts):
@@ -176,16 +184,20 @@ def test_fingerprints_agree_on_range_list_and_array_starts(n):
 
 
 def test_offset_sample_is_a_read_only_int64_copy():
-    source = np.array([5, 1, 1023], dtype=np.uint32)
-    sample = OffsetSample(source)
-    source[0] = 7
-    assert sample.shifts.dtype == np.int64
-    assert sample.shifts.tolist() == [5, 1, 1023] and sample.m == 3
+    drawn = sample_offsets(1024, 0.1, random.Random(3))
+    assert drawn.dtype == np.int64 and len(drawn) == 200
     with pytest.raises(ValueError):
-        sample.shifts[0] = 0
+        drawn[0] = 0
     with pytest.raises(ValueError):
-        sample.shifts += 1
-    assert sample_offsets(1024, 0.1, random.Random(3)).shifts.flags.writeable is False
+        drawn += 1
+    assert drawn.flags.writeable is False
+    # handed shifts of another dtype run as an int64 copy of the source
+    source = drawn.astype(np.uint32)
+    x = random_word(1024, random.Random(4))
+    shifts, *_ = _grid_hits(x, 0.1, random.Random(3), source, icbrt)
+    source[0] += 1
+    assert shifts.dtype == np.int64
+    assert shifts.tolist() == drawn.tolist()
 
 
 def test_tuple_and_array_samples_fingerprint_alike():
@@ -193,30 +205,31 @@ def test_tuple_and_array_samples_fingerprint_alike():
     for n, alphabet_size in ((8, 2), (1024, 2), (1000, 3), (1 << 15, 2)):
         x = random_word(n, rng, alphabet_size)
         drawn = sample_offsets(n, 0.2, rng)
-        as_tuple = OffsetSample(tuple(drawn.shifts.tolist()))
-        assert as_tuple.m == drawn.m
-        assert np.array_equal(as_tuple.shifts, drawn.shifts)
+        as_tuple = tuple(drawn.tolist())
+        assert len(as_tuple) == len(drawn)
+        assert np.array_equal(np.asarray(as_tuple, np.int64), drawn)
         starts = (0, 1, n // 3, n - 1)
         rows = [left(x, i, as_tuple) for i in starts]
         columns = [right(x, j, as_tuple) for j in starts]
-        assert _fingerprints(x, starts, -drawn.shifts) == rows
-        assert _fingerprints(x, starts, drawn.shifts) == columns
+        assert _fingerprints(x, starts, -drawn) == rows
+        assert _fingerprints(x, starts, drawn) == columns
 
 
 @pytest.mark.parametrize("mode", ["quantum", "classical"])
-def test_testers_give_the_same_verdicts_on_tuple_built_samples(monkeypatch, mode):
-    def as_tuple(n, epsilon, rng):
-        return OffsetSample(tuple(sample_offsets(n, epsilon, rng).shifts.tolist()))
-
+def test_testers_give_the_same_verdicts_on_tuple_built_samples(mode):
     run = quantum_test if mode == "quantum" else classical_test
     cases = [
         (kind, n, seed) for kind in ("member", "far", "alt") for n in (64, 1024) for seed in (1, 2)
     ]
 
-    def verdicts():
+    def verdicts(as_tuple):
         out = []
         for kind, n, seed in cases:
-            v = run(_seeded_word(kind, n, 0.2, seed), 0.2, random.Random(seed + 100))
+            rng = random.Random(seed + 100)
+            shifts = None
+            if as_tuple:
+                shifts = tuple(sample_offsets(n, 0.2, rng).tolist())
+            v = run(_seeded_word(kind, n, 0.2, seed), 0.2, rng, shifts)
             ledger = v.ledger
             out.append(
                 (
@@ -231,9 +244,8 @@ def test_testers_give_the_same_verdicts_on_tuple_built_samples(monkeypatch, mode
             )
         return out
 
-    expected = verdicts()
-    monkeypatch.setattr("twopal.tester.sample_offsets", as_tuple)
-    assert verdicts() == expected
+    expected = verdicts(as_tuple=False)
+    assert verdicts(as_tuple=True) == expected
     assert any(accept for accept, *_ in expected) and not all(accept for accept, *_ in expected)
 
 
@@ -248,8 +260,8 @@ def test_a_handed_sample_stands_for_the_testers_own_draw(tester, n):
             x = _seeded_word(kind, n, 0.1, seed)
             rng_a, rng_b = random.Random(seed + 50), random.Random(seed + 50)
             alone = tester(x, epsilon, rng_a)
-            sample = sample_offsets(n, epsilon, rng_b)
-            handed = tester(x, epsilon, rng_b, sample)
+            shifts = sample_offsets(n, epsilon, rng_b)
+            handed = tester(x, epsilon, rng_b, shifts)
             assert handed.accept == alone.accept
             assert handed.ledger == alone.ledger
             assert handed.found_pair == alone.found_pair
@@ -265,7 +277,7 @@ def test_a_handed_sample_of_the_wrong_length_is_refused(tester):
     m = offset_count(1024, 0.1)
     for shifts in (range(m - 1), range(m + 1), range(offset_count(1024, 0.3))):
         with pytest.raises(ValueError, match="shifts"):
-            tester(x, 0.1, random.Random(0), OffsetSample(shifts))
+            tester(x, 0.1, random.Random(0), shifts)
 
 
 # --- completeness ------------------------------------------------------
@@ -274,17 +286,17 @@ def test_a_handed_sample_of_the_wrong_length_is_refused(tester):
 def test_member_grid_pair_exists_and_collides():
     rng = random.Random(61)
     for n in range(4, 17, 2):
-        grids = cube_grids(n)
+        step = icbrt(n)
         for w, a in member_constructions(n):
             target = 2 * a - 1
-            beta = target % grids.step
+            beta = target % step
             j = target - beta
-            assert beta in grids.i_set
-            assert j in grids.j_set
+            assert beta in range(step)
+            assert j in range(0, n, step)
             assert beta + j == target
             for _ in range(3):
-                sample = OffsetSample(tuple(rng.randrange(n) for _ in range(8)))
-                assert left(w, beta, sample) == right(w, j, sample)
+                shifts = [rng.randrange(n) for _ in range(8)]
+                assert left(w, beta, shifts) == right(w, j, shifts)
 
 
 def test_classical_accepts_every_member():
@@ -316,8 +328,8 @@ def test_found_pair_collides_on_the_sampled_offsets():
         if verdict.accept:
             hits += 1
             i, j = verdict.found_pair
-            grids = cube_grids(256)
-            assert i in grids.i_set and j in grids.j_set
+            step = icbrt(256)
+            assert i in range(step) and j in range(0, 256, step)
             assert left(w, i, expected) == right(w, j, expected)
     assert hits >= 27
 
@@ -354,9 +366,9 @@ def test_far_pair_collision_frequency():
     assert distance_to_language(w).distance >= far_threshold(eps, n)
 
     m = offset_count(n, eps)
-    grids = cube_grids(n)
-    i_values = np.array(list(grids.i_set))
-    j_values = np.array(list(grids.j_set))
+    step = icbrt(n)
+    i_values = np.arange(step)
+    j_values = np.arange(0, n, step)
     samples = 10_000
     shift_rng = np.random.default_rng(59)
     shifts = shift_rng.integers(0, n, size=(samples, m))
@@ -366,9 +378,8 @@ def test_far_pair_collision_frequency():
 
     # tie the vectorized replica to the tester's fingerprint kernel
     for s_idx in (0, 17, 4096):
-        sample = OffsetSample(shifts[s_idx])
-        rows = _fingerprints(w, i_values[:3], -sample.shifts)
-        columns = _fingerprints(w, j_values[:3], sample.shifts)
+        rows = _fingerprints(w, i_values[:3], -shifts[s_idx])
+        columns = _fingerprints(w, j_values[:3], shifts[s_idx])
         assert rows == [bytes(lefts[idx, s_idx]) for idx in range(3)]
         assert columns == [bytes(rights[idx, s_idx]) for idx in range(3)]
 
@@ -399,7 +410,7 @@ def test_quantum_ledger_accounting():
     verdict = quantum_test(w, 0.1, random.Random(73))
     m = offset_count(1024, 0.1)
     ledger = verdict.ledger
-    assert ledger.classical_reads == cube_grids(1024).step * m
+    assert ledger.classical_reads == icbrt(1024) * m
     assert ledger.quantum_charged == ledger.predicate_calls * m
     assert ledger.total_charged == ledger.classical_reads + ledger.quantum_charged
 
@@ -408,9 +419,9 @@ def test_classical_ledger_full_scan_cost():
     far = gen_far(1024, 0.1, random.Random(79))
     verdict = classical_test(far, 0.1, random.Random(81))
     assert not verdict.accept
-    grids = sqrt_grids(1024)
+    step = ceil_sqrt(1024)
     m = offset_count(1024, 0.1)
-    assert verdict.ledger.classical_reads == (grids.step + len(grids.j_set)) * m
+    assert verdict.ledger.classical_reads == (step + len(range(0, 1024, step))) * m
     assert verdict.ledger.classical_reads == 12800
     assert verdict.ledger.quantum_charged == 0
 
@@ -418,12 +429,12 @@ def test_classical_ledger_full_scan_cost():
 def test_classical_ledger_charges_the_scan_up_to_the_first_hit():
     w = gen_member(37, 91, random.Random(3))  # n = 256
     verdict = classical_test(w, 0.2, random.Random(4))
-    sample = sample_offsets(256, 0.2, random.Random(4))
-    grids = sqrt_grids(256)
-    rows = {left(w, i, sample) for i in grids.i_set}
-    k = next(k for k, j in enumerate(grids.j_set) if right(w, j, sample) in rows)
-    assert k > 0 and verdict.found_pair[1] == grids.j_set[k]
-    assert verdict.ledger.classical_reads == (grids.step + k + 1) * sample.m
+    shifts = sample_offsets(256, 0.2, random.Random(4))
+    step = ceil_sqrt(256)
+    rows = {left(w, i, shifts) for i in range(step)}
+    k = next(k for k, j in enumerate(range(0, 256, step)) if right(w, j, shifts) in rows)
+    assert k > 0 and verdict.found_pair[1] == k * step
+    assert verdict.ledger.classical_reads == (step + k + 1) * len(shifts)
 
 
 def test_promise_violating_input_still_returns_verdict():
@@ -516,15 +527,15 @@ def test_seeded_verdicts_are_frozen(mode, kind, n, epsilon, seed, expected):
 # --- column-hit kernel -------------------------------------------------
 
 
-def _scan_hits(x, grids, sample):
+def _scan_hits(x, step, shifts):
     """Reference for the kernel: every column's full right fingerprint looked
     up among the rows' left fingerprints, first row per fingerprint."""
     rows = {}
-    for i in grids.i_set:
-        rows.setdefault(left(x, i, sample), i)
+    for i in range(step):
+        rows.setdefault(left(x, i, shifts), i)
     hits = {}
-    for k, j in enumerate(grids.j_set):
-        s = right(x, j, sample)
+    for k, j in enumerate(range(0, x.n, step)):
+        s = right(x, j, shifts)
         if s in rows:
             hits[k] = rows[s]
     return hits
@@ -534,26 +545,28 @@ def _scan_verdict(mode, x, epsilon, seed):
     """Hits and verdict fields of a tester that scans every column in full
     and searches the ascending hit columns with the simulator."""
     rng = random.Random(seed)
-    sample = sample_offsets(x.n, epsilon, rng)
+    shifts = sample_offsets(x.n, epsilon, rng)
+    m = len(shifts)
     ledger = QueryLedger()
-    grids = cube_grids(x.n) if mode == "quantum" else sqrt_grids(x.n)
-    ledger.read_classical(grids.step * sample.m)
-    hits = _scan_hits(x, grids, sample)
+    step = icbrt(x.n) if mode == "quantum" else ceil_sqrt(x.n)
+    columns = range(0, x.n, step)
+    ledger.read_classical(step * m)
+    hits = _scan_hits(x, step, shifts)
     rounds = []
     if mode == "quantum":
-        outcome = search_solutions(len(grids.j_set), sorted(hits), rng)
+        outcome = search_solutions(len(columns), sorted(hits), rng)
         found, rounds = outcome.found, outcome.rounds
         if rounds:
             evaluations = sum(r.iterations + 1 for r in rounds)
         else:
-            evaluations = _iteration_cap(len(grids.j_set))
+            evaluations = _iteration_cap(len(columns))
         ledger.charge_predicate(evaluations)
-        ledger.charge_quantum(evaluations * sample.m)
+        ledger.charge_quantum(evaluations * m)
     else:
         found = min(hits, default=None)
-        scanned = len(grids.j_set) if found is None else found + 1
-        ledger.read_classical(scanned * sample.m)
-    pair = None if found is None else (hits[found], grids.j_set[found])
+        scanned = len(columns) if found is None else found + 1
+        ledger.read_classical(scanned * m)
+    pair = None if found is None else (hits[found], columns[found])
     fields = (
         found is not None,
         pair,
@@ -571,16 +584,17 @@ def _check_against_scan(x, epsilon, seed):
     near_misses = 0
     for mode, run in (("quantum", quantum_test), ("classical", classical_test)):
         expected_hits, expected = _scan_verdict(mode, x, epsilon, seed)
-        make_grids = cube_grids if mode == "quantum" else sqrt_grids
-        sample, grids, ledger, hits = _grid_hits(
-            x, epsilon, random.Random(seed), None, make_grids
+        step_of = icbrt if mode == "quantum" else ceil_sqrt
+        shifts, step, ledger, hits = _grid_hits(
+            x, epsilon, random.Random(seed), None, step_of
         )
+        m = len(shifts)
         assert list(hits.items()) == expected_hits, (mode, x.symbols, seed)
-        assert ledger.classical_reads == grids.step * sample.m
-        width = min(PREFIX_SHIFTS, sample.m)
-        if width < sample.m:
-            extra = ledger.uncharged_reads - len(grids.j_set) * width
-            near_misses += extra // sample.m - len(hits)
+        assert ledger.classical_reads == step * m
+        width = min(PREFIX_SHIFTS, m)
+        if width < m:
+            extra = ledger.uncharged_reads - len(range(0, x.n, step)) * width
+            near_misses += extra // m - len(hits)
         verdict = run(x, epsilon, random.Random(seed))
         got = (
             verdict.accept,
@@ -693,17 +707,18 @@ def test_worst_case_verdicts_at_large_n_are_unchanged_and_bounded():
     assert time.perf_counter() - start < 10.0
 
 
-def _prefix_columns(x, grids, sample):
+def _prefix_columns(x, step, shifts):
     """Indices k of the columns whose fingerprint on the first
     min(PREFIX_SHIFTS, m) shifts is some row's."""
-    head = OffsetSample(sample.shifts[:PREFIX_SHIFTS])
-    rows = {left(x, i, head) for i in grids.i_set}
-    return [k for k, j in enumerate(grids.j_set) if right(x, j, head) in rows]
+    head = shifts[:PREFIX_SHIFTS]
+    rows = {left(x, i, head) for i in range(step)}
+    columns = range(0, x.n, step)
+    return [k for k, j in enumerate(columns) if right(x, j, head) in rows]
 
 
-def _prefix_candidates(x, grids, sample):
+def _prefix_candidates(x, step, shifts):
     """How many columns pass the prefix screen."""
-    return len(_prefix_columns(x, grids, sample))
+    return len(_prefix_columns(x, step, shifts))
 
 
 def test_uncharged_reads_are_bounded_and_never_charged():
@@ -715,15 +730,15 @@ def test_uncharged_reads_are_bounded_and_never_charged():
         (Word(bytes(1024)), 0.1),
         (Word(bytes(i % 2 for i in range(64))), 0.5),
     ]
-    testers = ((quantum_test, cube_grids), (classical_test, sqrt_grids))
+    testers = ((quantum_test, icbrt), (classical_test, ceil_sqrt))
     for x, epsilon in cases:
-        for run, make_grids in testers:
+        for run, step_of in testers:
             verdict = run(x, epsilon, random.Random(5))
-            sample = sample_offsets(x.n, epsilon, random.Random(5))
-            grids = make_grids(x.n)
-            m = sample.m
-            bound = len(grids.j_set) * min(PREFIX_SHIFTS, m)
-            bound += _prefix_candidates(x, grids, sample) * m
+            shifts = sample_offsets(x.n, epsilon, random.Random(5))
+            step = step_of(x.n)
+            m = len(shifts)
+            bound = len(range(0, x.n, step)) * min(PREFIX_SHIFTS, m)
+            bound += _prefix_candidates(x, step, shifts) * m
             ledger = verdict.ledger
             assert 0 < ledger.uncharged_reads <= bound
             charged = ledger.classical_reads + ledger.quantum_charged
@@ -731,10 +746,10 @@ def test_uncharged_reads_are_bounded_and_never_charged():
     # on a far word almost no column survives the prefix, so the private
     # reads stay far below the m per column of building every fingerprint
     far = cases[0][0]
-    for run, make_grids in testers:
+    for run, step_of in testers:
         verdict = run(far, 0.1, random.Random(5))
         m = offset_count(n, 0.1)
-        assert verdict.ledger.uncharged_reads < len(make_grids(n).j_set) * m
+        assert verdict.ledger.uncharged_reads < len(range(0, n, step_of(n))) * m
         assert not verdict.accept
 
 
@@ -753,6 +768,10 @@ def test_both_testers_run_the_one_collision_kernel_once(monkeypatch):
     removed = ("_build_left_table", "_column_hits", "_shift_sample", "_check_domain")
     for name in removed:
         assert not hasattr(tester, name), name
+    # the kernel takes plain shifts and a step function, no wrapper types
+    for name in ("OffsetSample", "IndexGrids", "cube_grids", "sqrt_grids"):
+        assert not hasattr(tester, name) and not hasattr(twopal, name), name
+    assert len(twopal.__all__) == 26
     calls = []
 
     def spy(*args):
@@ -761,11 +780,10 @@ def test_both_testers_run_the_one_collision_kernel_once(monkeypatch):
 
     monkeypatch.setattr(tester, "_grid_hits", spy)
     w = gen_member(100, 412, random.Random(71))
-    testers = ((quantum_test, cube_grids), (classical_test, sqrt_grids))
-    for run, make_grids in testers:
+    for run, step_of in ((quantum_test, icbrt), (classical_test, ceil_sqrt)):
         calls.clear()
         run(w, 0.1, random.Random(73))
-        assert calls == [make_grids]
+        assert calls == [step_of]
 
 
 @pytest.mark.parametrize("n", [100, 1000, 3072, 5000, 65538])
@@ -809,20 +827,21 @@ def _spy_on_fingerprints(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [1024, 2**15])
-@pytest.mark.parametrize("make_grids", [cube_grids, sqrt_grids])
-def test_no_column_past_the_prefix_reads_nothing_more(monkeypatch, n, make_grids):
+@pytest.mark.parametrize("step_of", [icbrt, ceil_sqrt])
+def test_no_column_past_the_prefix_reads_nothing_more(monkeypatch, n, step_of):
     far = gen_far(n, 0.1, random.Random(n))
     assert is_eps_far(far, 0.1)
-    sample = sample_offsets(n, 0.1, random.Random(7))
-    grids = make_grids(n)
-    assert sample.m > PREFIX_SHIFTS
-    assert _prefix_columns(far, grids, sample) == []
+    shifts = sample_offsets(n, 0.1, random.Random(7))
+    step = step_of(n)
+    columns = range(0, n, step)
+    assert len(shifts) > PREFIX_SHIFTS
+    assert _prefix_columns(far, step, shifts) == []
     calls = _spy_on_fingerprints(monkeypatch)
-    _, _, ledger, hits = _grid_hits(far, 0.1, random.Random(7), sample, make_grids)
+    _, _, ledger, hits = _grid_hits(far, 0.1, random.Random(7), shifts, step_of)
     assert hits == {}
     # the rows, then the prefix screen alone: no gather of full fingerprints
-    assert calls == [list(grids.i_set), list(grids.j_set)]
-    assert ledger.uncharged_reads == len(grids.j_set) * min(PREFIX_SHIFTS, sample.m)
+    assert calls == [list(range(step)), list(columns)]
+    assert ledger.uncharged_reads == len(columns) * min(PREFIX_SHIFTS, len(shifts))
 
 
 @pytest.mark.parametrize("n", [1024, 2**15])
@@ -831,43 +850,42 @@ def test_full_fingerprints_are_gathered_for_the_prefix_candidates_only(
 ):
     rng = random.Random(n + 1)
     member = gen_member(n // 3, n // 2 - n // 3, rng)
-    sample = sample_offsets(n, 0.1, rng)
-    grids = cube_grids(n)
-    candidates = _prefix_columns(member, grids, sample)
+    shifts = sample_offsets(n, 0.1, rng)
+    step = icbrt(n)
+    columns = range(0, n, step)
+    candidates = _prefix_columns(member, step, shifts)
     assert candidates
     calls = _spy_on_fingerprints(monkeypatch)
-    _, _, ledger, hits = _grid_hits(member, 0.1, rng, sample, cube_grids)
+    _, _, ledger, hits = _grid_hits(member, 0.1, rng, shifts, icbrt)
     assert hits and set(hits) <= set(candidates)
     assert calls == [
-        list(grids.i_set),
-        list(grids.j_set),
-        [grids.j_set[k] for k in candidates],
+        list(range(step)),
+        list(columns),
+        [columns[k] for k in candidates],
     ]
-    prefix_reads = len(grids.j_set) * PREFIX_SHIFTS
-    assert ledger.uncharged_reads == prefix_reads + len(candidates) * sample.m
+    prefix_reads = len(columns) * PREFIX_SHIFTS
+    assert ledger.uncharged_reads == prefix_reads + len(candidates) * len(shifts)
 
 
 def test_row_table_maps_each_fingerprint_to_its_first_row():
     n = 2**15
-    sample = sample_offsets(n, 0.1, random.Random(11))
+    shifts = sample_offsets(n, 0.1, random.Random(11))
     x = Word(bytes(int(i % 4 == 3) for i in range(n)))
     # the columns see the rows' table only through the row each one hits:
     # the cube grid's columns are all 0 mod 4, the sqrt grid's 0 or 2 mod 4
-    for make_grids, first_rows in ((cube_grids, {2}), (sqrt_grids, {0, 2})):
-        grids = make_grids(n)
-        columns = range(len(grids.j_set))
+    for step_of, first_rows in ((icbrt, {2}), (ceil_sqrt, {0, 2})):
+        step = step_of(n)
+        columns = range(len(range(0, n, step)))
         # one fingerprint, first met at row 0: every column maps to row 0
         _, _, _, zeros = _grid_hits(
-            Word(bytes(n)), 0.1, random.Random(11), sample, make_grids
+            Word(bytes(n)), 0.1, random.Random(11), shifts, step_of
         )
         assert zeros == dict.fromkeys(columns, 0)
         expected = {}
-        for i in grids.i_set:
-            expected.setdefault(left(x, i, sample), i)
+        for i in range(step):
+            expected.setdefault(left(x, i, shifts), i)
         assert len(expected) == 4
-        _, _, _, hits = _grid_hits(x, 0.1, random.Random(11), sample, make_grids)
-        assert hits == {
-            k: expected[right(x, grids.j_set[k], sample)] for k in columns
-        }
+        _, _, _, hits = _grid_hits(x, 0.1, random.Random(11), shifts, step_of)
+        assert hits == {k: expected[right(x, k * step, shifts)] for k in columns}
         # every column hits, at the first row of its residue mod 4
         assert set(hits.values()) == first_rows
