@@ -21,6 +21,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -279,10 +280,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     A trial is (config, key) with key = (n, epsilon, class, trial index) and
     covers every mode (see _run_trial); all keys are mapped in one pass,
-    serially or through a process pool. Outcomes are grouped by (n, epsilon,
-    mode, class), and cells are listed by size, epsilon, mode and class. A
-    cell's seconds sum its trials' per-mode seconds, so over a serial run the
-    cells add up to the wall time.
+    serially or through a process pool of at most config.workers,
+    os.cpu_count() and one process per key. Outcomes are grouped by (n,
+    epsilon, mode, class), and cells are listed by size, epsilon, mode and
+    class. A cell's seconds sum its trials' per-mode seconds, so over a
+    serial run the cells add up to the wall time.
     A cell whose far-instance sampling exhausts its budget is reported with
     trials=0 and a skip reason instead of failing the sweep.
     """
@@ -295,8 +297,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         for trial in range(count)
     ]
     run = functools.partial(_run_trial, config)
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=min(config.workers, len(keys))) as pool:
+    # more processes than cores or trials only cost memory: no report
+    # depends on the worker count
+    workers = min(config.workers, len(keys), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, keys))
     else:
         results = list(map(run, keys))

@@ -15,13 +15,18 @@ Both testers run one collision kernel, `_grid_hits`, once, handing it
 their step function (icbrt or ceil_sqrt): it draws or checks the shifts,
 charges the rows' step * m reads, fingerprints every column on the first
 PREFIX_SHIFTS shifts only, and builds full fingerprints for the columns
-whose prefix some row shares. Every fingerprint comes from a numpy gather,
-`_fingerprints`. A run's shifts are one int64 array from the draw to every
-gather (negated for the rows, sliced for the prefixes); the rows are
-np.arange(step) and the columns np.arange(0, n, step). The column reads
-are the simulation's own; they are counted as uncharged reads and never
-charged. Every charge of both testers is booked in this module: the Grover
-simulator only counts its evaluations, and quantum_test prices each at m.
+whose prefix some row shares. Every fingerprint, `_fingerprints`, is a
+read of one view, `_rotations`: over the doubled word x + x, its row s is x
+rotated left by s, so x[(s + p) mod n] sits at row s, column p mod n, and
+no read takes a modulo or builds an index per symbol. A run's shifts are
+one int64 array from the draw to the kernel, reduced mod n once there:
+-shifts % n for the rows, shifts % n for the columns (sliced for the
+prefixes). The rows are the view's first step rows and the columns every
+step-th row, each read as one block; the few prefix candidates are read one
+rotation at a time. The column reads are the simulation's own; they are
+counted as uncharged reads and never charged. Every charge of both testers
+is booked in this module: the Grover simulator only counts its
+evaluations, and quantum_test prices each at m.
 
 For a member some grid pair matches on every shift, for any shift sample.
 For a word epsilon-far from the language, a fixed pair whose axis i + j is
@@ -105,8 +110,15 @@ def sample_offsets(n: int, epsilon: float, rng: random.Random) -> np.ndarray:
     return shifts
 
 
-# a run gathers rows of two widths, m and the prefix; the bound only keeps
-# a long process that sweeps many (n, epsilon) cells from growing the cache
+def _rotations(x: Word) -> np.ndarray:
+    """The read-only (n, n) uint8 view whose row s is x rotated left by s:
+    row s, column t holds x[(s + t) mod n]. Its rows overlap in one doubled
+    copy of x, so it costs 2n bytes, not n^2."""
+    return np.ndarray((x.n, x.n), np.uint8, x.symbols * 2, 0, (1, 1))
+
+
+# a run reads keys of two widths, m and the prefix; the bound only keeps a
+# long process that sweeps many (n, epsilon) cells from growing the cache
 @functools.lru_cache(maxsize=64)
 def _row_dtype(width: int) -> np.dtype:
     """One void item of width bytes, which tolist() returns as bytes."""
@@ -114,12 +126,19 @@ def _row_dtype(width: int) -> np.dtype:
 
 
 def _fingerprints(
-    x: Word, starts: Sequence[int] | np.ndarray, shifts: Sequence[int] | np.ndarray
+    rotations: np.ndarray, starts: slice | list[int], shifts: np.ndarray
 ) -> list[bytes]:
-    """Row k is (x[(starts[k] + p) mod n] for each p in shifts). Charges no
-    ledger; callers charge the reads they stand for."""
-    idx = np.add.outer(np.asarray(starts, dtype=np.int64), shifts)
-    block = np.frombuffer(x.symbols, np.uint8).take(idx, mode="wrap")
+    """Row k is (x[(s + p) mod n] for each p in shifts), s the k-th start:
+    rotation s of x read at the shifts, where rotations = _rotations(x) and
+    every start and shift lies in [0, n). A slice of starts is read as one
+    block. A list is read one rotation at a time: a few scattered starts
+    stay cheap, and many need no index array. Charges no ledger; callers
+    charge the reads they stand for."""
+    if not isinstance(starts, slice):
+        return [rotations[s][shifts].tobytes() for s in starts]
+    # a read along axis 1 alone comes out column-major: copy it row-major,
+    # so each row is one void item
+    block = np.ascontiguousarray(rotations[starts][:, shifts])
     return block.view(_row_dtype(block.shape[1])).ravel().tolist()
 
 
@@ -168,21 +187,24 @@ def _grid_hits(
     step = step_of(x.n)
     ledger = QueryLedger()
     ledger.read_classical(step * m)
-    left = _fingerprints(x, np.arange(step), -shifts)
+    rotations = _rotations(x)
+    left = _fingerprints(rotations, slice(step), -shifts % x.n)
     # built backwards, so the first row with a fingerprint is the last write
     rows = dict(zip(reversed(left), reversed(range(step))))
 
-    columns = np.arange(0, x.n, step)
+    ahead = shifts % x.n
+    column_count = len(range(0, x.n, step))
     width = min(PREFIX_SHIFTS, m)
     prefixes = {key[:width] for key in rows}
-    heads = _fingerprints(x, columns, shifts[:width])
+    heads = _fingerprints(rotations, slice(None, None, step), ahead[:width])
     candidates = [k for k, head in enumerate(heads) if head in prefixes]
-    ledger.read_uncharged(len(columns) * width)
+    ledger.read_uncharged(column_count * width)
     if not candidates:
         return shifts, step, ledger, {}
     if width < m:
         ledger.read_uncharged(len(candidates) * m)
-        full = _fingerprints(x, columns[candidates], shifts)
+        starts = [k * step for k in candidates]
+        full = _fingerprints(rotations, starts, ahead)
     else:
         full = [heads[k] for k in candidates]
     hits = {k: rows[s] for k, s in zip(candidates, full) if s in rows}

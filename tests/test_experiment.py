@@ -231,12 +231,12 @@ def test_workers_reproduce_every_ledger_field():
     ]
 
 
-def test_the_pool_is_never_larger_than_the_trial_count(monkeypatch):
+def _record_pool_sizes(monkeypatch, cpu_count):
+    """Stand in for the process pool: record each size asked for and map in
+    this process, with os.cpu_count() reading cpu_count."""
     sizes = []
 
     class SerialPool:
-        """Records the pool size asked for and maps in this process."""
-
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
@@ -249,14 +249,32 @@ def test_the_pool_is_never_larger_than_the_trial_count(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    serial = run_experiment(small_config(trials=4))
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: cpu_count)
+    return sizes
+
+
+def test_the_pool_is_never_larger_than_the_trial_count(monkeypatch):
+    serial = run_experiment(small_config(trials=4))
+    sizes = _record_pool_sizes(monkeypatch, cpu_count=64)
     for workers in (64, 4, 3):
         report = run_experiment(small_config(trials=4, workers=workers))
         assert [_cell_record(c) for c in report.cells] == [
             _cell_record(c) for c in serial.cells
         ]
     assert sizes == [4, 4, 3]
+
+
+def test_the_pool_is_never_larger_than_the_cpu_count(monkeypatch):
+    serial = run_experiment(small_config())
+    for cpu_count, expected in ((2, [2]), (3, [3]), (1, []), (None, [])):
+        sizes = _record_pool_sizes(monkeypatch, cpu_count)
+        report = run_experiment(small_config(workers=100_000))
+        assert [_cell_record(c) for c in report.cells] == [
+            _cell_record(c) for c in serial.cells
+        ]
+        # one core, or an unknown count, maps serially: no pool at all
+        assert sizes == expected, cpu_count
 
 
 def test_skipped_cell_reported(tmp_path):

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from twopal import (
 from twopal.grover import _iteration_cap, search_solutions
 from twopal.ledger import QueryLedger
 from twopal import tester
-from twopal.tester import PREFIX_SHIFTS, _fingerprints, _grid_hits
+from twopal.tester import PREFIX_SHIFTS, _fingerprints, _grid_hits, _rotations
 
 
 # --- integer roots and grids -------------------------------------------
@@ -127,15 +128,22 @@ def test_fingerprint_frozen_examples():
     assert left(x, 1, (1, 2)) == bytes([0, 1])
     assert left(x, 0, (1,)) == bytes([1])
     assert right(x, 2, (1, 2)) == bytes([0, 1])
-    assert _fingerprints(x, [1, 0], [-1, -2]) == [bytes([0, 1]), bytes([1, 0])]
-    assert _fingerprints(x, [2], [1, 2]) == [bytes([0, 1])]
+    assert _gather(x, [1, 0], [-1, -2]) == [bytes([0, 1]), bytes([1, 0])]
+    assert _gather(x, [2], [1, 2]) == [bytes([0, 1])]
 
 
 def test_uniform_word_fingerprints_uniform():
     x = Word.from_text("0000")
     shifts = np.array([0, 1, 2, 3, 1])
-    assert _fingerprints(x, range(4), -shifts) == [bytes(5)] * 4
-    assert _fingerprints(x, range(4), shifts) == [bytes(5)] * 4
+    assert _gather(x, range(4), -shifts) == [bytes(5)] * 4
+    assert _gather(x, range(4), shifts) == [bytes(5)] * 4
+
+
+def _gather(x, starts, shifts):
+    """_fingerprints read at any int starts and shifts, as a list of
+    starts: the kernel reduces its shifts mod n before it reads."""
+    shifts = np.asarray(shifts, np.int64) % x.n
+    return _fingerprints(_rotations(x), [s % x.n for s in starts], shifts)
 
 
 def _per_symbol(x, starts, shifts):
@@ -147,7 +155,7 @@ def test_fingerprints_match_per_symbol_on_small_binary_words():
         shifts = [-p for p in range(n)] + list(range(n)) + [n - 1, 0]
         for x in all_words(n):
             expected = _per_symbol(x, range(n), shifts)
-            assert _fingerprints(x, range(n), shifts) == expected
+            assert _gather(x, range(n), shifts) == expected
 
 
 def test_fingerprints_match_per_symbol_on_ternary_words():
@@ -156,7 +164,7 @@ def test_fingerprints_match_per_symbol_on_ternary_words():
         x = random_word(n, rng, 3)
         starts = [rng.randrange(n) for _ in range(20)]
         shifts = [rng.randrange(-n + 1, n) for _ in range(40)]
-        assert _fingerprints(x, starts, shifts) == _per_symbol(x, starts, shifts)
+        assert _gather(x, starts, shifts) == _per_symbol(x, starts, shifts)
 
 
 def test_fingerprints_wrap_at_large_n():
@@ -164,20 +172,26 @@ def test_fingerprints_wrap_at_large_n():
     x = random_word(n, random.Random(19))
     starts = [0, 1, n // 2, n - 2, n - 1]
     shifts = [-(n - 1), -2, -1, 0, 1, 2, n - 1]
-    assert _fingerprints(x, starts, shifts) == _per_symbol(x, starts, shifts)
+    assert _gather(x, starts, shifts) == _per_symbol(x, starts, shifts)
 
 
 @pytest.mark.parametrize("n", [8, 1000, 1 << 21])
 def test_fingerprints_agree_on_range_list_and_array_starts(n):
+    # a slice of the rotations is read as one block, a list of starts one
+    # rotation at a time; both read the same symbols
     x = random_word(n, random.Random(n))
+    rotations = _rotations(x)
+    assert rotations.shape == (n, n) and not rotations.flags.writeable
     rng = random.Random(23)
     shifts = [-(n - 1), -1, 0, 1, n - 1] + [rng.randrange(-n + 1, n) for _ in range(40)]
-    shifts = np.array(shifts)
+    shifts = np.array(shifts) % n
     for starts in (range(0, n, n // 8), range(3, min(n, 40), 5), range(n - 1, -1, -n // 4)):
         expected = _per_symbol(x, starts, shifts.tolist())
-        for form in (starts, list(starts), np.array(starts, dtype=np.int64)):
-            assert _fingerprints(x, form, shifts) == expected
-            assert _fingerprints(x, form, shifts.tolist()) == expected
+        stop = None if starts.stop < 0 else starts.stop
+        forms = (slice(starts.start, stop, starts.step), list(starts))
+        for form in forms:
+            assert _fingerprints(rotations, form, shifts) == expected
+            assert _fingerprints(rotations, form, shifts.tolist()) == expected
 
 
 # --- the shift sample as an array --------------------------------------
@@ -211,8 +225,21 @@ def test_tuple_and_array_samples_fingerprint_alike():
         starts = (0, 1, n // 3, n - 1)
         rows = [left(x, i, as_tuple) for i in starts]
         columns = [right(x, j, as_tuple) for j in starts]
-        assert _fingerprints(x, starts, -drawn) == rows
-        assert _fingerprints(x, starts, drawn) == columns
+        assert _gather(x, starts, -drawn) == rows
+        assert _gather(x, starts, drawn) == columns
+
+
+def _verdict_fields(verdict):
+    ledger = verdict.ledger
+    return (
+        verdict.accept,
+        verdict.found_pair,
+        verdict.rounds,
+        ledger.classical_reads,
+        ledger.quantum_charged,
+        ledger.predicate_calls,
+        ledger.uncharged_reads,
+    )
 
 
 @pytest.mark.parametrize("mode", ["quantum", "classical"])
@@ -229,19 +256,8 @@ def test_testers_give_the_same_verdicts_on_tuple_built_samples(mode):
             shifts = None
             if as_tuple:
                 shifts = tuple(sample_offsets(n, 0.2, rng).tolist())
-            v = run(_seeded_word(kind, n, 0.2, seed), 0.2, rng, shifts)
-            ledger = v.ledger
-            out.append(
-                (
-                    v.accept,
-                    v.found_pair,
-                    v.rounds,
-                    ledger.classical_reads,
-                    ledger.quantum_charged,
-                    ledger.predicate_calls,
-                    ledger.uncharged_reads,
-                )
-            )
+            x = _seeded_word(kind, n, 0.2, seed)
+            out.append(_verdict_fields(run(x, 0.2, rng, shifts)))
         return out
 
     expected = verdicts(as_tuple=False)
@@ -278,6 +294,26 @@ def test_a_handed_sample_of_the_wrong_length_is_refused(tester):
     for shifts in (range(m - 1), range(m + 1), range(offset_count(1024, 0.3))):
         with pytest.raises(ValueError, match="shifts"):
             tester(x, 0.1, random.Random(0), shifts)
+
+
+@pytest.mark.parametrize("tester", [quantum_test, classical_test])
+@pytest.mark.parametrize("n", [1024, 3000])
+def test_handed_shifts_are_read_mod_n(tester, n):
+    # the kernel reduces the shifts once; unreduced, one at or above n would
+    # fall off the rotation view and one in [-n, 0) would wrap by accident
+    accepts = set()
+    for kind, seed in (("member", 1), ("far", 2)):
+        x = _seeded_word(kind, n, 0.1, seed)
+        shifts = sample_offsets(n, 0.1, random.Random(seed + 50))
+        expected = _verdict_fields(tester(x, 0.1, random.Random(seed + 50)))
+        for k in (-2, -1, 1, 3):
+            moved = shifts + k * n
+            assert moved.min() < 0 or moved.max() >= n
+            rng = random.Random(seed + 50)
+            sample_offsets(n, 0.1, rng)
+            assert _verdict_fields(tester(x, 0.1, rng, moved)) == expected, k
+        accepts.add(expected[0])
+    assert accepts == {True, False}
 
 
 # --- completeness ------------------------------------------------------
@@ -378,8 +414,8 @@ def test_far_pair_collision_frequency():
 
     # tie the vectorized replica to the tester's fingerprint kernel
     for s_idx in (0, 17, 4096):
-        rows = _fingerprints(w, i_values[:3], -shifts[s_idx])
-        columns = _fingerprints(w, j_values[:3], shifts[s_idx])
+        rows = _gather(w, i_values[:3].tolist(), -shifts[s_idx])
+        columns = _gather(w, j_values[:3].tolist(), shifts[s_idx])
         assert rows == [bytes(lefts[idx, s_idx]) for idx in range(3)]
         assert columns == [bytes(rights[idx, s_idx]) for idx in range(3)]
 
@@ -455,47 +491,48 @@ def test_tiny_members_accepted():
 
 # --- seeded verdicts ---------------------------------------------------
 
-# (accept, found_pair, classical_reads, quantum_charged, predicate_calls),
-# recorded from the per-symbol fingerprint implementation. Any rewrite of how
-# fingerprints, the row table or the column scan are built must reproduce
-# every field, not only the verdict.
+# (accept, found_pair, classical_reads, quantum_charged, predicate_calls,
+# uncharged_reads), recorded from the per-symbol fingerprint implementation
+# (uncharged_reads from the index-array gather the rotation view replaced).
+# Any rewrite of how fingerprints, the row table or the column scan are
+# built must reproduce every field, not only the verdict.
 SEEDED_VERDICTS = [
-    ("quantum", "member", 64, 0.1, 1, (True, (1, 8), 480, 1320, 11)),
-    ("classical", "member", 64, 0.1, 1, (True, (1, 8), 1200, 0, 0)),
-    ("quantum", "member", 64, 0.2, 2, (True, (1, 60), 240, 240, 4)),
-    ("classical", "member", 64, 0.2, 2, (True, (5, 56), 960, 0, 0)),
-    ("quantum", "far", 64, 0.1, 1, (False, None, 480, 1440, 12)),
-    ("classical", "far", 64, 0.1, 1, (False, None, 1920, 0, 0)),
-    ("quantum", "far", 64, 0.2, 2, (False, None, 240, 720, 12)),
-    ("classical", "far", 64, 0.2, 2, (False, None, 960, 0, 0)),
-    ("quantum", "alt", 64, 0.1, 1, (True, (0, 4), 480, 120, 1)),
-    ("classical", "alt", 64, 0.1, 1, (True, (0, 0), 1080, 0, 0)),
-    ("quantum", "alt", 64, 0.2, 2, (True, (0, 20), 240, 60, 1)),
-    ("classical", "alt", 64, 0.2, 2, (True, (0, 0), 540, 0, 0)),
-    ("quantum", "member", 1024, 0.1, 1, (True, (7, 130), 2000, 3200, 16)),
-    ("classical", "member", 1024, 0.1, 1, (True, (9, 128), 7400, 0, 0)),
-    ("quantum", "member", 1024, 0.2, 2, (True, (9, 970), 1000, 1700, 17)),
-    ("classical", "member", 1024, 0.2, 2, (True, (19, 960), 6300, 0, 0)),
-    ("quantum", "far", 1024, 0.1, 1, (False, None, 2000, 6200, 31)),
-    ("classical", "far", 1024, 0.1, 1, (False, None, 12800, 0, 0)),
-    ("quantum", "far", 1024, 0.2, 2, (False, None, 1000, 3100, 31)),
-    ("classical", "far", 1024, 0.2, 2, (False, None, 6400, 0, 0)),
-    ("quantum", "alt", 1024, 0.1, 1, (True, (0, 50), 2000, 200, 1)),
-    ("classical", "alt", 1024, 0.1, 1, (True, (0, 0), 6600, 0, 0)),
-    ("quantum", "alt", 1024, 0.2, 2, (True, (0, 210), 1000, 100, 1)),
-    ("classical", "alt", 1024, 0.2, 2, (True, (0, 0), 3300, 0, 0)),
-    ("quantum", "member", 32768, 0.1, 1, (True, (19, 4384), 9600, 16500, 55)),
-    ("classical", "member", 32768, 0.1, 1, (True, (35, 4368), 62100, 0, 0)),
-    ("quantum", "member", 32768, 0.2, 2, (True, (31, 31296), 4800, 17700, 118)),
-    ("classical", "member", 32768, 0.2, 2, (True, (23, 31304), 53250, 0, 0)),
-    ("quantum", "far", 32768, 0.1, 1, (False, None, 9600, 28800, 96)),
-    ("classical", "far", 32768, 0.1, 1, (False, None, 108900, 0, 0)),
-    ("quantum", "far", 32768, 0.2, 2, (False, None, 4800, 14400, 96)),
-    ("classical", "far", 32768, 0.2, 2, (False, None, 54450, 0, 0)),
-    ("quantum", "alt", 32768, 0.1, 1, (True, (0, 31552), 9600, 300, 1)),
-    ("classical", "alt", 32768, 0.1, 1, (True, (0, 0), 54900, 0, 0)),
-    ("quantum", "alt", 32768, 0.2, 2, (True, (0, 17856), 4800, 150, 1)),
-    ("classical", "alt", 32768, 0.2, 2, (True, (0, 0), 27450, 0, 0)),
+    ("quantum", "member", 64, 0.1, 1, (True, (1, 8), 480, 1320, 11, 888)),
+    ("classical", "member", 64, 0.1, 1, (True, (1, 8), 1200, 0, 0, 504)),
+    ("quantum", "member", 64, 0.2, 2, (True, (1, 60), 240, 240, 4, 828)),
+    ("classical", "member", 64, 0.2, 2, (True, (5, 56), 960, 0, 0, 444)),
+    ("quantum", "far", 64, 0.1, 1, (False, None, 480, 1440, 12, 768)),
+    ("classical", "far", 64, 0.1, 1, (False, None, 1920, 0, 0, 384)),
+    ("quantum", "far", 64, 0.2, 2, (False, None, 240, 720, 12, 768)),
+    ("classical", "far", 64, 0.2, 2, (False, None, 960, 0, 0, 384)),
+    ("quantum", "alt", 64, 0.1, 1, (True, (0, 4), 480, 120, 1, 2688)),
+    ("classical", "alt", 64, 0.1, 1, (True, (0, 0), 1080, 0, 0, 1344)),
+    ("quantum", "alt", 64, 0.2, 2, (True, (0, 20), 240, 60, 1, 1728)),
+    ("classical", "alt", 64, 0.2, 2, (True, (0, 0), 540, 0, 0, 864)),
+    ("quantum", "member", 1024, 0.1, 1, (True, (7, 130), 2000, 3200, 16, 5144)),
+    ("classical", "member", 1024, 0.1, 1, (True, (9, 128), 7400, 0, 0, 1736)),
+    ("quantum", "member", 1024, 0.2, 2, (True, (9, 970), 1000, 1700, 17, 5044)),
+    ("classical", "member", 1024, 0.2, 2, (True, (19, 960), 6300, 0, 0, 1636)),
+    ("quantum", "far", 1024, 0.1, 1, (False, None, 2000, 6200, 31, 4944)),
+    ("classical", "far", 1024, 0.1, 1, (False, None, 12800, 0, 0, 1536)),
+    ("quantum", "far", 1024, 0.2, 2, (False, None, 1000, 3100, 31, 4944)),
+    ("classical", "far", 1024, 0.2, 2, (False, None, 6400, 0, 0, 1536)),
+    ("quantum", "alt", 1024, 0.1, 1, (True, (0, 50), 2000, 200, 1, 25544)),
+    ("classical", "alt", 1024, 0.1, 1, (True, (0, 0), 6600, 0, 0, 7936)),
+    ("quantum", "alt", 1024, 0.2, 2, (True, (0, 210), 1000, 100, 1, 15244)),
+    ("classical", "alt", 1024, 0.2, 2, (True, (0, 0), 3300, 0, 0, 4736)),
+    ("quantum", "member", 32768, 0.1, 1, (True, (19, 4384), 9600, 16500, 55, 49452)),
+    ("classical", "member", 32768, 0.1, 1, (True, (35, 4368), 62100, 0, 0, 8988)),
+    ("quantum", "member", 32768, 0.2, 2, (True, (31, 31296), 4800, 17700, 118, 49302)),
+    ("classical", "member", 32768, 0.2, 2, (True, (23, 31304), 53250, 0, 0, 8838)),
+    ("quantum", "far", 32768, 0.1, 1, (False, None, 9600, 28800, 96, 49152)),
+    ("classical", "far", 32768, 0.1, 1, (False, None, 108900, 0, 0, 8688)),
+    ("quantum", "far", 32768, 0.2, 2, (False, None, 4800, 14400, 96, 49152)),
+    ("classical", "far", 32768, 0.2, 2, (False, None, 54450, 0, 0, 8688)),
+    ("quantum", "alt", 32768, 0.1, 1, (True, (0, 31552), 9600, 300, 1, 356352)),
+    ("classical", "alt", 32768, 0.1, 1, (True, (0, 0), 54900, 0, 0, 62988)),
+    ("quantum", "alt", 32768, 0.2, 2, (True, (0, 17856), 4800, 150, 1, 202752)),
+    ("classical", "alt", 32768, 0.2, 2, (True, (0, 0), 27450, 0, 0, 35838)),
 ]
 
 
@@ -521,6 +558,7 @@ def test_seeded_verdicts_are_frozen(mode, kind, n, epsilon, seed, expected):
         ledger.classical_reads,
         ledger.quantum_charged,
         ledger.predicate_calls,
+        ledger.uncharged_reads,
     ) == expected
 
 
@@ -666,21 +704,22 @@ def test_kernel_matches_full_scan_on_periodic_words(n):
 
 
 # (mode, word, seed, (accept, found_pair, classical_reads, quantum_charged,
-# predicate_calls)) at n = 2^21, eps 0.1, recorded before the prefix filter:
-# every column of these words survives the prefix, the kernel's worst case
+# predicate_calls, uncharged_reads)) at n = 2^21, eps 0.1, recorded before
+# the prefix filter (uncharged_reads before the rotation view): every column
+# of these words survives the prefix, the kernel's worst case
 WORST_CASE_VERDICTS = [
-    ("quantum", "zeros", 0, (True, (0, 1975040), 53760, 420, 1)),
-    ("classical", "zeros", 0, (True, (0, 0), 609000, 0, 0)),
-    ("quantum", "zeros", 7, (True, (0, 189696), 53760, 420, 1)),
-    ("classical", "zeros", 7, (True, (0, 0), 609000, 0, 0)),
-    ("quantum", "alt", 0, (True, (0, 1975040), 53760, 420, 1)),
-    ("classical", "alt", 0, (True, (0, 0), 609000, 0, 0)),
-    ("quantum", "alt", 7, (True, (0, 189696), 53760, 420, 1)),
-    ("classical", "alt", 7, (True, (0, 0), 609000, 0, 0)),
-    ("quantum", "0001", 0, (True, (2, 1975040), 53760, 420, 1)),
-    ("classical", "0001", 0, (True, (2, 0), 609000, 0, 0)),
-    ("quantum", "0001", 7, (True, (2, 189696), 53760, 420, 1)),
-    ("classical", "0001", 7, (True, (2, 0), 609000, 0, 0)),
+    ("quantum", "zeros", 0, (True, (0, 1975040), 53760, 420, 1, 7667712)),
+    ("classical", "zeros", 0, (True, (0, 0), 609000, 0, 0, 677664)),
+    ("quantum", "zeros", 7, (True, (0, 189696), 53760, 420, 1, 7667712)),
+    ("classical", "zeros", 7, (True, (0, 0), 609000, 0, 0, 677664)),
+    ("quantum", "alt", 0, (True, (0, 1975040), 53760, 420, 1, 7667712)),
+    ("classical", "alt", 0, (True, (0, 0), 609000, 0, 0, 677664)),
+    ("quantum", "alt", 7, (True, (0, 189696), 53760, 420, 1, 7667712)),
+    ("classical", "alt", 7, (True, (0, 0), 609000, 0, 0, 677664)),
+    ("quantum", "0001", 0, (True, (2, 1975040), 53760, 420, 1, 7667712)),
+    ("classical", "0001", 0, (True, (2, 0), 609000, 0, 0, 677664)),
+    ("quantum", "0001", 7, (True, (2, 189696), 53760, 420, 1, 7667712)),
+    ("classical", "0001", 7, (True, (2, 0), 609000, 0, 0, 677664)),
 ]
 
 
@@ -702,9 +741,27 @@ def test_worst_case_verdicts_at_large_n_are_unchanged_and_bounded():
             ledger.classical_reads,
             ledger.quantum_charged,
             ledger.predicate_calls,
+            ledger.uncharged_reads,
         ) == expected, (mode, name, seed)
     # the twelve verdicts take about 0.3 s on a 2-core host
     assert time.perf_counter() - start < 10.0
+
+
+def test_worst_case_kernel_memory_stays_linear():
+    # every column of the all-zero word passes the prefix screen, so the
+    # quantum tester reads all 16384 full fingerprints: the rotation view
+    # costs 2n bytes, and no index array of one int64 per symbol is built
+    n = 2**21
+    zeros = Word(bytes(n))
+    tracemalloc.start()
+    try:
+        verdict = quantum_test(zeros, 0.1, random.Random(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.accept
+    assert verdict.ledger.uncharged_reads == 16384 * (PREFIX_SHIFTS + 420)
+    assert peak <= 12 * n
 
 
 def _prefix_columns(x, step, shifts):
@@ -818,9 +875,9 @@ def _spy_on_fingerprints(monkeypatch):
     """Record the starts of every _fingerprints call the tester makes."""
     calls = []
 
-    def spy(x, starts, shifts):
-        calls.append(list(starts))
-        return _fingerprints(x, starts, shifts)
+    def spy(rotations, starts, shifts):
+        calls.append(np.arange(len(rotations))[starts].tolist())
+        return _fingerprints(rotations, starts, shifts)
 
     monkeypatch.setattr(tester, "_fingerprints", spy)
     return calls
