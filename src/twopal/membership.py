@@ -9,20 +9,23 @@ and an odd position, and a member holds each symbol as often at even
 positions as at odd ones. Binary words are screened on this before any
 search: a word that fails it is a non-member. Binary words whose length is a
 multiple of 8 and at least PACK_MIN are searched as bits, eight symbols to a
-byte: the pattern is reverse(x) packed, and for each phase f = j mod 4 the
-text is x read cyclically from symbol 2 + 2f, packed, so a match at byte q
-is j = 4q + f. Four finds over texts of at most n/4 bytes decide, the
-smallest j over the phases being the first witness. Every other word
-(alphabets above 2, lengths not a multiple of 8, words shorter than
-PACK_MIN) is searched as symbol pairs: the text is y(x)[1:], whose units are
-the pairs (x[2k], x[2k+1]) rotated by one, and the pattern is reverse(x),
-whose units are the same pairs swapped, in reverse order. Over at most 16
-symbols each pair packs into one byte, and one `bytes.find` over the n - 2
-packed bytes decides, since every match is an odd offset. Over larger
-alphabets a unit is two raw bytes, and a match may start mid-pair; the
-occurrences of a length-n pattern in a text shorter than 2n form one
-arithmetic progression (Kociumaka, Radoszewski, Rytter and Walen, SODA
-2015), so the first two decide whether an aligned one exists.
+byte. Their screen counts the packed word's even and odd bits as 64-bit
+words, plus the fewer than 8 bytes left over. The pattern is reverse(x)
+packed, that is x packed little-endian with its bytes reversed, and for each
+phase f = j mod 4 the text is x read cyclically from symbol 2 + 2f, packed,
+so a match at byte q is j = 4q + f. The four texts are written in turn into
+one buffer and searched there without a copy. Four finds over texts of at
+most n/4 bytes decide, the smallest j over the phases being the first
+witness. Every other word (alphabets above 2, lengths not a multiple of 8,
+words shorter than PACK_MIN) is searched as symbol pairs: the text is
+y(x)[1:], whose units are the pairs (x[2k], x[2k+1]) rotated by one, and the
+pattern is reverse(x), whose units are the same pairs swapped, in reverse
+order. Over at most 16 symbols each pair packs into one byte, and one
+`bytes.find` over the n - 2 packed bytes decides, since every match is an
+odd offset. Over larger alphabets a unit is two raw bytes, and a match may
+start mid-pair; the occurrences of a length-n pattern in a text shorter than
+2n form one arithmetic progression (Kociumaka, Radoszewski, Rytter and
+Walen, SODA 2015), so the first two decide whether an aligned one exists.
 `exact_member` charges, in closed form, the reads of a Knuth-Morris-Pratt
 walk over y(x) (Knuth, Morris and Pratt, 1977) that reads each visited
 symbol once. That walk and a brute-force split scan are the references the
@@ -42,8 +45,10 @@ from .words import Decomposition, Word
 
 # _SWAP_NIBBLES maps each byte c << 4 | d to d << 4 | c
 _SWAP_NIBBLES = bytes((b & 15) << 4 | b >> 4 for b in range(256))
-# _REVERSE_BITS maps each byte to the byte with its eight bits reversed
-_REVERSE_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+# the bits of a big-endian packed byte that hold even and odd positions,
+# repeated over a 64-bit word (the same in either byte order)
+_EVEN_BITS = np.uint64(0xAAAA_AAAA_AAAA_AAAA)
+_ODD_BITS = np.uint64(0x5555_5555_5555_5555)
 
 # binary words this long or longer (and a multiple of 8) are searched as bits.
 # Below it the four phase texts cost more to build than the shorter finds
@@ -108,26 +113,41 @@ def _bit_witness(x: Word) -> int:
 
     reverse(x) at offset 2j + 1 of y(x) means reverse(x) equals x rotated
     left by 2j + 2 symbols. The pattern packs reverse(x) eight symbols to a
-    byte, and the text of phase f packs x read cyclically from symbol
-    2 + 2f, each byte shifted out of two neighbouring bytes of the packed
-    ring; a match at byte q is j = 4q + f. Each phase stops its find where j
-    would pass the smallest witness so far (at first the last valid one,
-    n/2 - 2), so the smallest j over the four phases is the first witness.
+    byte, which is x packed little-endian with its bytes reversed. The text
+    of phase f packs x read cyclically from symbol 2 + 2f, each byte shifted
+    out of two neighbouring bytes of the packed ring; all four phases are
+    written in place into one buffer of 2 * (n/8) bytes and searched there
+    without a copy. A match at byte q is j = 4q + f. Each phase stops its
+    find where j would pass the smallest witness so far (at first the last
+    valid one, n/2 - 2), so the smallest j over the four phases is the first
+    witness.
 
     The packed word is screened first: a member's mirror pairs each join an
     even and an odd position, so it holds as many ones at even positions as
     at odd ones, and a word with unequal counts returns -1 before the
-    pattern or the ring is built.
+    pattern or the ring is built. The counts are taken over the packed bytes
+    read as 64-bit words, plus the fewer than 8 bytes left over.
     """
     n = x.n
     size = n // 8
-    packed = np.packbits(np.frombuffer(x.symbols, dtype=np.uint8))
+    symbols = np.frombuffer(x.symbols, dtype=np.uint8)
+    packed = np.packbits(symbols)
     # parity screen: packbits is big-endian, so the 0xAA bits hold the
-    # symbols at even positions and the 0x55 bits those at odd ones
-    if np.bitwise_count(packed & 0xAA).sum() != np.bitwise_count(packed & 0x55).sum():
+    # symbols at even positions and the 0x55 bits those at odd ones; n/8
+    # need not be a multiple of 8, so the bytes past the last whole 64-bit
+    # word are counted apart
+    cut = size - size % 8
+    words, rest = packed[:cut].view(np.uint64), packed[cut:]
+    even = np.bitwise_count(words & _EVEN_BITS).sum()
+    odd = np.bitwise_count(words & _ODD_BITS).sum()
+    even += np.bitwise_count(rest & 0xAA).sum()
+    odd += np.bitwise_count(rest & 0x55).sum()
+    if even != odd:
         return -1
-    pattern = packed[::-1].tobytes().translate(_REVERSE_BITS)
+    pattern = np.packbits(symbols, bitorder="little")[::-1].tobytes()
     ring = np.concatenate((packed, packed))
+    text = bytearray(2 * size)
+    buffer = np.frombuffer(text, dtype=np.uint8)
     best = n // 2 - 1
     for f in range(4):
         # the matches with 4q + f < best start at q < stop
@@ -136,11 +156,13 @@ def _bit_witness(x: Word) -> int:
             break
         shift = 2 + 2 * f
         end = stop + size
+        phase = buffer[: end - 1]
         if shift == 8:
-            text = ring[1:end]
+            phase[:] = ring[1:end]
         else:
-            text = ring[: end - 1] << shift | ring[1:end] >> (8 - shift)
-        q = text.tobytes().find(pattern)
+            np.left_shift(ring[: end - 1], shift, out=phase)
+            phase |= ring[1:end] >> (8 - shift)
+        q = text.find(pattern, 0, end - 1)
         if q >= 0:
             best = 4 * q + f
     return best if best < n // 2 - 1 else -1
@@ -151,7 +173,8 @@ def exact_member(x: Word, ledger: Optional[QueryLedger] = None) -> MembershipRes
 
     Binary words whose length is a multiple of 8 and at least PACK_MIN are
     searched as bits (see _bit_witness): four finds, one per phase of the
-    witness pair index mod 4, over texts of at most n/4 bytes. Every other
+    witness pair index mod 4, over texts of at most n/4 bytes written in
+    turn into one buffer, against a pattern packed in one call. Every other
     word (alphabets above 2, lengths not a multiple of 8, shorter words) is
     searched as symbol pairs (see _pair_witness): one find over n - 2 packed
     bytes when pairs pack into a byte, at most two over two-byte pairs. Each
@@ -159,7 +182,8 @@ def exact_member(x: Word, ledger: Optional[QueryLedger] = None) -> MembershipRes
     Both first screen a binary word on parity: a member's mirror pairs each
     join an even and an odd position, so a word whose ones are not split
     evenly between even and odd positions is a non-member, rejected without
-    a search. Both return the smallest witness offset i, so the ledger is
+    a search; the bit path counts the packed word's bits as 64-bit words.
+    Both return the smallest witness offset i, so the ledger is
     charged what the Knuth-Morris-Pratt walk over y(x) reads (`kmp_member`
     in tests/helpers.py): n for the pattern, plus i + n view
     symbols when it stops at witness i, or all 2n - 2 when there is none,

@@ -14,11 +14,13 @@ from twopal import (
     Decomposition,
     DistanceResult,
     QueryLedger,
+    ceil_sqrt,
     check_symmetric_characterization,
     distance_to_language,
     exact_member,
     gen_member,
     icbrt,
+    offset_count,
     random_word,
     round_success_probability,
     schedule_success_probability,
@@ -218,6 +220,26 @@ def test_criterion_07_classical_scaling_and_separation(scaling_report):
         stable and separated,
         detail,
     )
+
+
+def test_far_cells_charge_exactly_the_closed_forms(scaling_report):
+    # a rejected far word is charged m * (icbrt(n) + ceil(3 sqrt(N)))
+    # quantum and m * (s + ceil(n / s)) classical queries, whatever the draw
+    report, _ = scaling_report
+    for mode in ("quantum", "classical"):
+        cells = _cells_by_size(report, mode)
+        assert sorted(cells) == list(SCALING_SIZES)
+        for n, cell in cells.items():
+            m = offset_count(n, cell.epsilon)
+            if mode == "quantum":
+                step = icbrt(n)
+                charge = m * (step + math.ceil(3 * math.sqrt(len(range(0, n, step)))))
+            else:
+                s = ceil_sqrt(n)
+                charge = m * (s + math.ceil(n / s))
+            assert cell.skipped is None and cell.trials == 4, (mode, n)
+            assert cell.accepts == 0, (mode, n)
+            assert cell.mean_queries == charge == cell.max_queries, (mode, n)
 
 
 def test_criterion_08_grover_simulator_fidelity():

@@ -266,15 +266,16 @@ def test_pack_min_is_pinned():
     assert membership.PACK_MIN == 2**15
 
 
-def count_packbits(monkeypatch):
+def spy_on_bit_witness(monkeypatch):
+    """Record the length of every word exact_member searches as bits."""
     calls = []
-    packbits = membership.np.packbits
+    bit_witness = membership._bit_witness
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return packbits(*args, **kwargs)
+    def spy(x):
+        calls.append(x.n)
+        return bit_witness(x)
 
-    monkeypatch.setattr(membership.np, "packbits", counting)
+    monkeypatch.setattr(membership, "_bit_witness", spy)
     return calls
 
 
@@ -283,7 +284,7 @@ def test_bit_path_runs_exactly_for_long_binary_multiples_of_eight(
     monkeypatch, pack_min
 ):
     monkeypatch.setattr(membership, "PACK_MIN", pack_min)
-    calls = count_packbits(monkeypatch)
+    calls = spy_on_bit_witness(monkeypatch)
     rng = random.Random(pack_min)
     lengths = {4, 6, 8, 16, 24, pack_min - 8, pack_min - 2, pack_min}
     lengths |= {pack_min + k for k in (1, 2, 4, 6, 8, 16)}
@@ -393,6 +394,28 @@ def balanced_non_members(n, rng):
     return words
 
 
+class PatternBuilt(Exception):
+    """Raised by the packbits spy where the bit path builds its pattern."""
+
+
+def spy_on_packbits(monkeypatch, stop_at_pattern=False):
+    """Record the bit order of every np.packbits call. The bit path packs
+    the word big-endian for its screen and ring, then little-endian for its
+    pattern, before it builds the ring or any phase text; with
+    stop_at_pattern that second call raises PatternBuilt instead."""
+    orders = []
+    packbits = membership.np.packbits
+
+    def spy(*args, bitorder="big", **kwargs):
+        orders.append(bitorder)
+        if stop_at_pattern and bitorder == "little":
+            raise PatternBuilt
+        return packbits(*args, bitorder=bitorder, **kwargs)
+
+    monkeypatch.setattr(membership.np, "packbits", spy)
+    return orders
+
+
 @pytest.mark.parametrize("n", [membership.PACK_MIN, 1024, 1026])
 def test_parity_screen_rejects_before_any_text_is_built(monkeypatch, n):
     rng = random.Random(n)
@@ -404,19 +427,88 @@ def test_parity_screen_rejects_before_any_text_is_built(monkeypatch, n):
         gen_gamma(n, rng.randrange(n)),
     ]
     balanced = [gen_member(half, n // 2 - half, rng), *balanced_non_members(n, rng)]
-    calls = count_packbits(monkeypatch)
-    # both searches start their pattern and text by translating through one
-    # of these tables, and an empty table makes `translate` raise
-    monkeypatch.setattr(membership, "_REVERSE_BITS", b"")
+    orders = spy_on_packbits(monkeypatch, stop_at_pattern=True)
+    # the pair search starts its pattern and text by translating through
+    # this table, and an empty table makes `translate` raise
     monkeypatch.setattr(membership, "_SWAP_NIBBLES", b"")
+    bit_path = n % 8 == 0 and n >= membership.PACK_MIN
     for w in unbalanced:
         assert not parity_balanced(w)
         assert decision(exact_member, w) == (False, None, 3 * n - 2)
+    assert orders == ["big"] * (bit_path * len(unbalanced))
     for w in balanced:
-        with pytest.raises(ValueError, match="translation table"):
-            exact_member(w)
-    bit_path = n % 8 == 0 and n >= membership.PACK_MIN
-    assert len(calls) == bit_path * (len(unbalanced) + len(balanced))
+        if bit_path:
+            with pytest.raises(PatternBuilt):
+                exact_member(w)
+        else:
+            with pytest.raises(ValueError, match="translation table"):
+                exact_member(w)
+    assert orders[len(unbalanced) * bit_path :] == ["big", "little"] * (
+        bit_path * len(balanced)
+    )
+
+
+def imbalance(symbols):
+    """Ones at even positions minus ones at odd positions."""
+    return sum(symbols[0::2]) - sum(symbols[1::2])
+
+
+def with_imbalance(s, target, rng):
+    """The binary symbols s with distinct random positions flipped until
+    they hold target more ones at even positions than at odd ones."""
+    s = bytearray(s)
+    excess = imbalance(s) - target
+    # flipping a one at an even position or a zero at an odd one lowers the
+    # imbalance by one, and flipping any other symbol raises it by one
+    flips = [i for i, c in enumerate(s) if (c == (i % 2 == 0)) == (excess > 0)]
+    for i in rng.sample(flips, abs(excess)):
+        s[i] ^= 1
+    assert imbalance(s) == target
+    return bytes(s)
+
+
+@pytest.mark.parametrize("n", [membership.PACK_MIN + 8, membership.PACK_MIN + 56])
+def test_parity_screen_counts_the_trailing_bytes(monkeypatch, n):
+    # n/8 is 1 or 7 bytes past a multiple of 8, so the screen's 64-bit
+    # words cover the first cut symbols and the last bytes are counted apart
+    size = n // 8
+    cut = 8 * (size - size % 8)
+    assert 0 < n - cut < 64
+    rng = random.Random(n)
+    orders = spy_on_packbits(monkeypatch)
+
+    def searched(w):
+        before = len(orders)
+        result = decision(exact_member, w)
+        assert orders[before] == "big"
+        return result, orders[before + 1 :] == ["little"]
+
+    # balanced in the 64-bit words, unbalanced in the trailing bytes only
+    for target in (1, -1, 2, -3):
+        head = with_imbalance(random_word(cut, rng).symbols, 0, rng)
+        tail = with_imbalance(random_word(n - cut, rng).symbols, target, rng)
+        w = Word(head + tail)
+        assert not parity_balanced(w)
+        assert searched(w) == ((False, None, 3 * n - 2), False)
+    # the head's imbalance cancelled by the trailing bytes: members and
+    # non-members, all searched
+    words = []
+    for target in (1, -1, 2, -3):
+        head = with_imbalance(random_word(cut, rng).symbols, target, rng)
+        tail = with_imbalance(random_word(n - cut, rng).symbols, -target, rng)
+        words.append(Word(head + tail))
+    members = []
+    while len(members) < 3:
+        half = rng.randint(1, n // 2 - 1)
+        w = gen_member(half, n // 2 - half, rng)
+        if imbalance(w.symbols[:cut]):
+            members.append(w)
+    for w in words + members:
+        assert parity_balanced(w) and imbalance(w.symbols[:cut]) != 0
+        result, was_searched = searched(w)
+        assert was_searched
+        assert result == decision(kmp_member, w)
+        assert result[0] == (w in members)
 
 
 @pytest.mark.parametrize("n", [1026, membership.PACK_MIN, 2**17])

@@ -868,6 +868,40 @@ def test_far_charges_match_the_closed_forms_off_the_cube_sizes(n):
         assert c.ledger.total_charged == m * (s + math.ceil(n / s))
 
 
+def test_far_charge_closed_forms_at_every_even_size():
+    # per unit of m, a far word costs icbrt(n) + ceil(3 sqrt(N)) quantum
+    # and s + ceil(n / s) classical queries; both testers read the same m
+    n = np.arange(4, 2**21 + 1, 2, dtype=np.int64)
+    step = np.rint(np.cbrt(n)).astype(np.int64)
+    step -= step**3 > n
+    step += (step + 1) ** 3 <= n
+    cap = np.ceil(3 * np.sqrt(-(-n // step))).astype(np.int64)
+    s = np.rint(np.sqrt(n)).astype(np.int64)
+    s += s * s < n
+    s -= (s - 1) ** 2 >= n
+    quantum = step + cap
+    classical = s + -(-n // s)
+    rng = random.Random(10)
+    for k in [*rng.sample(range(len(n)), 2000), 0, 1, len(n) - 1]:
+        size = int(n[k])
+        assert step[k] == icbrt(size) and s[k] == ceil_sqrt(size), size
+        assert cap[k] == _iteration_cap(len(range(0, size, icbrt(size)))), size
+    for c in range(2, 129):
+        for size in (c**3 - 2, c**3, c**3 + 2, c * c - 2, c * c, c * c + 2):
+            k = (size - 4) // 2
+            if size % 2 == 0 and 0 <= k < len(n):
+                assert step[k] == icbrt(size) and s[k] == ceil_sqrt(size), size
+    # 4 <= quantum / n^(1/3) < 4.96 = 124/25, compared in integers; both
+    # ends are nearly reached: 4.00 at every cube, 4.953 at n = 6
+    assert (quantum**3 >= 64 * n).all()
+    assert (quantum**3 * 25**3 < 124**3 * n).all()
+    assert (quantum**3 == 64 * n).sum() == 64
+    assert (quantum**3 * 100**3 > 495**3 * n).any()
+    # quantum is below classical at every even n above 90, and not at 90
+    behind = n[quantum >= classical]
+    assert len(behind) == 42 and behind.max() == 90
+
+
 # --- fixed costs the kernel skips ----------------------------------------
 
 
