@@ -31,29 +31,47 @@ def _randbelow(rng: random.Random, bound: int, count: int) -> np.ndarray:
     values, and rng is left in the same state.
 
     Each randrange(bound) call keeps the top bound.bit_length() bits of one
-    32-bit generator output and retries while they are >= bound. Here the
-    outputs are drawn in batches, one per missing value, and filtered the
-    same way; a batch never yields more values than are missing, so no
-    output is drawn that randrange would not have drawn. The last
-    SCALAR_TAIL or fewer values are drawn as randrange draws them, by one
-    getrandbits(bound.bit_length()) call per output.
+    32-bit generator output and retries while they are >= bound; the top
+    bits are below bound exactly when the raw output is below
+    bound << (32 - bits). Here the outputs are drawn in batches, one per
+    missing value, and the raw outputs are filtered against that limit; a
+    batch never yields more values than are missing, so no output is drawn
+    that randrange would not have drawn. The last SCALAR_TAIL or fewer
+    values are drawn by one getrandbits(32) call per output, the same single
+    output randrange's getrandbits(bits) takes. The kept outputs are shifted
+    down to their top bits once, at the end.
     """
     bits = bound.bit_length()
+    limit = bound << (32 - bits)
     kept = []
     missing = count
     while missing > SCALAR_TAIL:
         words = rng.getrandbits(32 * missing).to_bytes(4 * missing, "little")
-        draws = np.frombuffer(words, dtype="<u4") >> (32 - bits)
-        kept.append(draws[draws < bound])
+        draws = np.frombuffer(words, dtype="<u4")
+        kept.append(draws[draws < limit])
         missing -= kept[-1].size
     tail = []
     while missing:
-        r = rng.getrandbits(bits)
-        if r < bound:
+        r = rng.getrandbits(32)
+        if r < limit:
             tail.append(r)
             missing -= 1
     kept.append(np.array(tail, dtype=np.uint32))
-    return np.concatenate(kept)
+    values = np.concatenate(kept)
+    values >>= 32 - bits
+    return values
+
+
+def _random_symbols(n: int, rng: random.Random, alphabet_size: int) -> bytes:
+    """The symbols of random_word(n, rng, alphabet_size), as plain bytes,
+    for n >= 0; a bad alphabet raises ValueError before any draw."""
+    if not 2 <= alphabet_size <= 256:
+        # checked before drawing: _randbelow never returns for a bound below 1
+        raise ValueError("alphabet needs 2 to 256 symbols, one byte each")
+    if 256 % alphabet_size == 0:
+        raw = np.frombuffer(rng.randbytes(n), dtype=np.uint8)
+        return (raw & (alphabet_size - 1)).tobytes()
+    return _randbelow(rng, alphabet_size, n).astype(np.uint8).tobytes()
 
 
 def random_word(n: int, rng: random.Random, alphabet_size: int = 2) -> Word:
@@ -67,25 +85,23 @@ def random_word(n: int, rng: random.Random, alphabet_size: int = 2) -> Word:
     """
     if n < 0:
         raise ValueError("length must be nonnegative")
-    if not 2 <= alphabet_size <= 256:
-        # checked before drawing: _randbelow never returns for a bound below 1
-        raise ValueError("alphabet needs 2 to 256 symbols, one byte each")
-    if 256 % alphabet_size == 0:
-        raw = np.frombuffer(rng.randbytes(n), dtype=np.uint8)
-        symbols = raw & (alphabet_size - 1)
-    else:
-        symbols = _randbelow(rng, alphabet_size, n).astype(np.uint8)
-    return Word(symbols.tobytes(), alphabet_size)
+    return Word(_random_symbols(n, rng, alphabet_size), alphabet_size)
 
 
 def gen_member(
     half_u: int, half_v: int, rng: random.Random, alphabet_size: int = 2
 ) -> Word:
-    """u + reverse(u) + v + reverse(v) with uniformly random u, v."""
+    """u + reverse(u) + v + reverse(v) with uniformly random u, v.
+
+    u and v are drawn as random_word(half_u, ...) and then
+    random_word(half_v, ...) would draw them, but as plain bytes, so only
+    the finished word is built and validated. Bad halves or a bad alphabet
+    raise ValueError before any draw.
+    """
     if half_u < 1 or half_v < 1:
         raise ValueError("both halves must be nonempty")
-    u = random_word(half_u, rng, alphabet_size).symbols
-    v = random_word(half_v, rng, alphabet_size).symbols
+    u = _random_symbols(half_u, rng, alphabet_size)
+    v = _random_symbols(half_v, rng, alphabet_size)
     return Word(u + u[::-1] + v + v[::-1], alphabet_size)
 
 

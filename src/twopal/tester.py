@@ -172,9 +172,11 @@ def _grid_hits(
     row's left fingerprint equals to the first such row, in ascending k.
     Every column's fingerprint on the first PREFIX_SHIFTS shifts is looked
     up among the rows' prefixes first; only the columns that pass get a
-    full fingerprint, and when none passes nothing more is read. Those
-    column reads find the search's solutions and go to
-    ledger.uncharged_reads, never to a charged count.
+    full fingerprint, and when none passes nothing more is read and no row
+    table is built: the table mapping each row fingerprint to its first row
+    is built only after some column passes. Those column reads find the
+    search's solutions and go to ledger.uncharged_reads, never to a
+    charged count.
     """
     m = offset_count(x.n, epsilon)
     if shifts is None:
@@ -189,18 +191,18 @@ def _grid_hits(
     ledger.read_classical(step * m)
     rotations = _rotations(x)
     left = _fingerprints(rotations, slice(step), -shifts % x.n)
-    # built backwards, so the first row with a fingerprint is the last write
-    rows = dict(zip(reversed(left), reversed(range(step))))
 
     ahead = shifts % x.n
     column_count = len(range(0, x.n, step))
     width = min(PREFIX_SHIFTS, m)
-    prefixes = {key[:width] for key in rows}
+    prefixes = {key[:width] for key in left}
     heads = _fingerprints(rotations, slice(None, None, step), ahead[:width])
-    candidates = [k for k, head in enumerate(heads) if head in prefixes]
     ledger.read_uncharged(column_count * width)
-    if not candidates:
+    if prefixes.isdisjoint(heads):
         return shifts, step, ledger, {}
+    candidates = [k for k, head in enumerate(heads) if head in prefixes]
+    # built backwards, so the first row with a fingerprint is the last write
+    rows = dict(zip(reversed(left), reversed(range(step))))
     if width < m:
         ledger.read_uncharged(len(candidates) * m)
         starts = [k * step for k in candidates]

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import _distance_baseline, brute_force_member
 from twopal import (
     FarInstanceError,
+    Word,
     distance_to_language,
     exact_member,
     far_threshold,
@@ -64,6 +65,22 @@ def test_gen_member_frozen_shape():
     w = gen_member(2, 2, FixedBits([0, 1, 1, 0]))
     assert w.text() == "01101001"
     assert brute_force_member(w).is_member
+
+
+@pytest.mark.parametrize("alphabet_size", [2, 3, 16, 17, 256])
+def test_gen_member_draws_what_two_random_words_draw(alphabet_size):
+    # randbytes takes whole 32-bit outputs, so an odd half leaves part of its
+    # last one unused; v must still start where a second random_word would
+    halves = (1, 3, 5, 200, 513)
+    for half_u in halves:
+        for half_v in halves:
+            seed = 1000 * half_u + half_v
+            drawn, twin = random.Random(seed), random.Random(seed)
+            w = gen_member(half_u, half_v, drawn, alphabet_size)
+            u = random_word(half_u, twin, alphabet_size).symbols
+            v = random_word(half_v, twin, alphabet_size).symbols
+            assert w == Word(u + u[::-1] + v + v[::-1], alphabet_size)
+            assert drawn.getstate() == twin.getstate()
 
 
 def test_gen_far_certified():
@@ -200,9 +217,14 @@ def test_random_word_masks_long_words_like_a_byte_table(alphabet_size):
             assert drawn.getstate() == reference.getstate()
 
 
-@pytest.mark.parametrize("bound", [1, 3, 1024, 1025, 1 << 21, (1 << 32) - 1])
+@pytest.mark.parametrize(
+    "bound",
+    [1, 2, 3, 1024, 1025, 1 << 21, 1 << 31, (1 << 31) + 1, (1 << 32) - 1],
+)
 def test_randbelow_reproduces_randrange_around_the_scalar_tail(bound):
-    # the counts straddle the switch to scalar draws at SCALAR_TAIL missing
+    # the counts straddle the switch to scalar draws at SCALAR_TAIL missing;
+    # raw outputs are kept below bound << (32 - bits), whose shift is 31
+    # at bound 2 and 0 from bound 2^31 on
     assert SCALAR_TAIL == 16
     for count in (0, 1, 16, 17, 33, 420):
         for seed in range(3):
