@@ -47,9 +47,11 @@ CSV_COLUMNS = (
     "seconds",
 )
 
-# the largest size every alphabet can draw: random_word asks the generator
-# for 8n random bits in one getrandbits call (32n for an alphabet that does
-# not divide 256), and that call's bit count is a C int, below 2^31
+# the largest size every alphabet can draw: random_word may ask the
+# generator for 8n random bits in one getrandbits call (32n for an alphabet
+# that does not divide 256), and that call's bit count is a C int, below
+# 2^31. A plain random.Random draws a long word through numpy instead, but
+# any other generator object still makes that call
 MAX_SIZE = 2**25
 
 MODES = ("quantum", "classical", "exact")

@@ -76,8 +76,9 @@ def ceil_sqrt(n: int) -> int:
     return r if r * r == n else r + 1
 
 
-# _randbelow first asks getrandbits for 32 bits per shift, and getrandbits
-# takes its bit count as a C int
+# _randbelow may first ask getrandbits for 32 bits per shift (a generator
+# that is not a plain random.Random always does), and getrandbits takes its
+# bit count as a C int
 MAX_SHIFTS = (2**31 - 1) // 32
 
 

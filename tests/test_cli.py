@@ -325,10 +325,10 @@ def test_largest_size_every_alphabet_draws_passes_validation():
 
 
 def test_import_leaves_numpy_random_unloaded():
-    # importing numpy.random costs about 7 ms per fresh interpreter and 6 MB
-    # of resident memory (one exact_adversarial pass at n = 2^20 peaked at
-    # 36.9 MB without it and 42.9 MB with it), so the package draws all of
-    # its randomness from the standard library's random module
+    # importing numpy.random costs about 7 ms per fresh interpreter and up
+    # to 6 MB of resident memory (one exact_adversarial pass at n = 2^20
+    # peaked at 36.9 MB without it and 42.9 MB with it), so the package
+    # loads it only on a draw of at least generators.NUMPY_IMPORT_MIN outputs
     code = (
         "import sys, twopal, twopal.cli; "
         "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"

@@ -1,4 +1,10 @@
+import importlib
+import os
 import random
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +23,7 @@ from twopal import (
     random_word,
 )
 from twopal import generators
-from twopal.generators import SCALAR_TAIL, _randbelow
+from twopal.generators import NUMPY_DRAW_MIN, NUMPY_IMPORT_MIN, SCALAR_TAIL, _randbelow
 
 
 def test_sigma_frozen():
@@ -131,6 +137,19 @@ def test_gen_far_still_searches_a_threshold_of_n_over_2(monkeypatch):
     assert len(calls) == 5
 
 
+@pytest.mark.parametrize("max_attempts", [0, -3, 2.5, True, "5"])
+def test_gen_far_refuses_a_bad_budget_before_any_draw(monkeypatch, max_attempts):
+    def certify(*args, **kwargs):
+        raise AssertionError("a bad budget certified a word")
+
+    monkeypatch.setattr(generators, "distance_to_language", certify)
+    rng = random.Random(5)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="max_attempts"):
+        gen_far(64, 0.1, rng, max_attempts=max_attempts)
+    assert rng.getstate() == state
+
+
 def test_generator_domain_errors():
     for bad_n in (-2, 0, 2, 5, 7):
         with pytest.raises(ValueError):
@@ -232,3 +251,174 @@ def test_randbelow_reproduces_randrange_around_the_scalar_tail(bound):
             values = _randbelow(drawn, bound, count)
             assert values.tolist() == [reference.randrange(bound) for _ in range(count)]
             assert drawn.getstate() == reference.getstate()
+
+
+# --- draws through numpy's MT19937 -------------------------------------
+
+
+@pytest.fixture
+def numpy_random_loaded():
+    # once numpy.random is loaded, every draw of at least NUMPY_DRAW_MIN
+    # outputs goes through it; before, only one of NUMPY_IMPORT_MIN does
+    importlib.import_module("numpy.random")
+
+
+def _record_getrandbits(rng):
+    """rng, still a plain random.Random, with its getrandbits calls' bit
+    counts appended to the returned list."""
+    calls = []
+    draw = rng.getrandbits
+
+    def recorded(k):
+        calls.append(k)
+        return draw(k)
+
+    rng.getrandbits = recorded
+    return calls
+
+
+def test_numpy_cutovers_are_pinned():
+    # a hand-off costs about 170 us, repaid from 2^15 outputs on; importing
+    # numpy.random costs 7-9 ms and 2-6 MB, about what one draw of 2^19
+    # outputs (a binary word of 2^21 symbols) saves
+    assert NUMPY_DRAW_MIN == 2**15
+    assert NUMPY_IMPORT_MIN == 2**19
+
+
+@pytest.mark.parametrize("alphabet_size", [2, 4, 16, 256])
+def test_random_word_around_the_numpy_cutover_keeps_randbytes(
+    numpy_random_loaded, alphabet_size
+):
+    # n // 4 whole outputs go through numpy from NUMPY_DRAW_MIN on, and the
+    # last n % 4 bytes are the top bytes of one getrandbits call, as in
+    # randbytes; below the cutover the one call is randbytes's getrandbits(8n).
+    # A gauss call first leaves a cached value in the state to hand back
+    table = bytes(b % alphabet_size for b in range(256))
+    for whole in (NUMPY_DRAW_MIN - 1, NUMPY_DRAW_MIN, NUMPY_DRAW_MIN + 1):
+        for part in range(4):
+            n = 4 * whole + part
+            drawn, reference = random.Random(n), random.Random(n)
+            drawn.gauss(0.0, 1.0), reference.gauss(0.0, 1.0)
+            calls = _record_getrandbits(drawn)
+            w = random_word(n, drawn, alphabet_size)
+            assert w.symbols == reference.randbytes(n).translate(table)
+            assert drawn.getstate() == reference.getstate()
+            assert calls == ([8 * n] if whole < NUMPY_DRAW_MIN else [8 * part])
+
+
+@pytest.mark.parametrize("alphabet_size", [3, 255])
+def test_randbelow_around_the_numpy_cutover_reproduces_randrange(
+    numpy_random_loaded, alphabet_size
+):
+    # the first batch round draws count outputs, through numpy from
+    # NUMPY_DRAW_MIN on; later rounds are smaller and use getrandbits
+    for count in (NUMPY_DRAW_MIN - 1, NUMPY_DRAW_MIN, NUMPY_DRAW_MIN + 1):
+        reference = random.Random(count)
+        expected = [reference.randrange(alphabet_size) for _ in range(count)]
+        drawn = random.Random(count)
+        calls = _record_getrandbits(drawn)
+        assert _randbelow(drawn, alphabet_size, count).tolist() == expected
+        assert drawn.getstate() == reference.getstate()
+        assert (calls[0] == 32 * count) == (count < NUMPY_DRAW_MIN)
+        word = random_word(count, random.Random(count), alphabet_size)
+        assert word.symbols == bytes(expected)
+
+
+class CountingRandom(random.Random):
+    """A random.Random subclass that records its getrandbits bit counts."""
+
+    def __init__(self, seed):
+        self.calls = []
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        self.calls.append(k)
+        return super().getrandbits(k)
+
+
+def test_a_random_subclass_sees_the_getrandbits_calls_it_always_saw(
+    numpy_random_loaded,
+):
+    # a subclass may draw differently, so it never goes through numpy: a
+    # byte alphabet is one randbytes call, getrandbits(8n), and any other
+    # alphabet takes getrandbits(32 * missing) batches, as many outputs as
+    # one randrange per symbol takes
+    n = 4 * NUMPY_IMPORT_MIN + 3
+    subclass, plain = CountingRandom(1), random.Random(1)
+    assert random_word(n, subclass, 16) == random_word(n, plain, 16)
+    assert subclass.calls == [8 * n]
+    assert subclass.getstate() == plain.getstate()
+
+    n = NUMPY_DRAW_MIN + 1
+    subclass, plain, reference = CountingRandom(2), random.Random(2), CountingRandom(2)
+    assert random_word(n, subclass, 3) == random_word(n, plain, 3)
+    assert subclass.getstate() == plain.getstate()
+    for _ in range(n):
+        reference.randrange(3)
+    assert subclass.calls[0] == 32 * n
+    assert all(k % 32 == 0 for k in subclass.calls)
+    assert sum(subclass.calls) // 32 == len(reference.calls)
+
+
+@pytest.mark.parametrize("alphabet_size", [2, 3, 256])
+def test_system_random_still_draws_long_words(alphabet_size):
+    # SystemRandom has no state to hand over; it keeps its getrandbits calls
+    n = 4 * NUMPY_IMPORT_MIN + 1 if 256 % alphabet_size == 0 else NUMPY_IMPORT_MIN
+    w = random_word(n, random.SystemRandom(), alphabet_size)
+    assert len(w) == n
+    assert len(set(w.symbols)) == alphabet_size
+
+
+def test_threads_draw_what_a_serial_run_draws():
+    # each thread hands its generator's state to its own MT19937, so words
+    # drawn at once in three threads, switching often, equal the words of a
+    # serial run
+    def draw(seed, n, rounds):
+        rng = random.Random(seed)
+        words = [random_word(n, rng, 2 + i % 2).symbols for i in range(rounds)]
+        return words, rng.getstate()
+
+    jobs = {1: (1 << 18, 8), 2: (1 << 21, 2), 3: (1 << 18, 4)}
+    serial = {seed: draw(seed, *job) for seed, job in jobs.items()}
+    start = threading.Barrier(len(jobs))
+    threaded = {}
+
+    def run(seed):
+        start.wait()
+        threaded[seed] = draw(seed, *jobs[seed])
+
+    threads = [threading.Thread(target=run, args=(seed,)) for seed in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+
+
+def test_numpy_random_is_imported_only_by_a_draw_that_repays_it():
+    # a process that only draws words below NUMPY_IMPORT_MIN outputs never
+    # pays numpy.random's import time and memory
+    code = (
+        "import random, sys\n"
+        "from twopal.generators import NUMPY_IMPORT_MIN, _randbelow, random_word\n"
+        "rng = random.Random(0)\n"
+        "random_word(4 * NUMPY_IMPORT_MIN - 1, rng)\n"
+        "_randbelow(rng, 3, NUMPY_IMPORT_MIN - 1)\n"
+        "print('numpy.random' in sys.modules)\n"
+        "random_word(4 * NUMPY_IMPORT_MIN, rng)\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.stdout.split() == ["False", "True"]

@@ -375,6 +375,45 @@ def test_members_are_parity_balanced():
                 assert parity_balanced(w), (n, alphabet_size, half)
 
 
+@pytest.mark.parametrize(
+    "n, alphabet_size", [(n, 2) for n in range(4, 17, 2)] + [(4, 3), (6, 3), (8, 3)]
+)
+def test_no_single_symbol_change_of_a_member_is_a_member(n, alphabet_size):
+    # one change breaks a member's even/odd balance of that symbol, so every
+    # member has sensitivity n: a deterministic decider reads all of it, and
+    # the randomized and quantum lower bounds in the README follow
+    members = {w.symbols for w in member_words(n, alphabet_size)}
+    for m in members:
+        for i in range(n):
+            for c in range(alphabet_size):
+                if c != m[i]:
+                    assert m[:i] + bytes([c]) + m[i + 1 :] not in members
+
+
+@pytest.mark.parametrize("alphabet_size", [2, 3])
+def test_single_symbol_changes_of_long_members_cost_3n_minus_2(
+    monkeypatch, alphabet_size
+):
+    # binary members at n = PACK_MIN take the bit path (and its parity
+    # screen), ternary ones the pair path; either way a changed member is
+    # rejected and charged what a search that finds no witness reads
+    n = membership.PACK_MIN
+    calls = spy_on_bit_witness(monkeypatch)
+    rng = random.Random(13 + alphabet_size)
+    changed = 0
+    for half_u in (1, rng.randint(2, n // 2 - 2), n // 2 - 1):
+        w = gen_member(half_u, n // 2 - half_u, rng, alphabet_size)
+        positions = {0, 2 * half_u - 1, 2 * half_u, n - 1, *rng.sample(range(n), 4)}
+        for i in sorted(positions):
+            s = bytearray(w.symbols)
+            s[i] = (s[i] + rng.randint(1, alphabet_size - 1)) % alphabet_size
+            ledger = QueryLedger()
+            assert not exact_member(Word(s, alphabet_size), ledger).is_member
+            assert ledger.classical_reads == 3 * n - 2
+            changed += 1
+    assert calls == ([n] * changed if alphabet_size == 2 else [])
+
+
 def balanced_non_members(n, rng):
     """Parity-balanced binary non-members: uniform words with ones cleared
     on the heavier parity until the counts agree, and words whose two ones
