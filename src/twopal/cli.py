@@ -116,11 +116,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     print(f"wrote {len(report.cells)} cells to {args.out}")
     for cell in report.cells:
         if cell.skipped is not None:
-            print(
-                f"skipped n={cell.n} eps={cell.epsilon} mode={cell.mode} "
-                f"class={cell.instance_class}: {cell.skipped}",
-                file=sys.stderr,
-            )
+            print(f"skipped {cell.label}: {cell.skipped}", file=sys.stderr)
     if args.check:
         failures = check_assertions(report)
         for failure in failures:

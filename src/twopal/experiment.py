@@ -25,14 +25,14 @@ import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
 from .generators import FarInstanceError, gen_far, gen_member
 from .ledger import QueryLedger
 from .membership import exact_member
-from .tester import classical_test, quantum_test, sample_offsets
+from .tester import classical_test, offset_count, quantum_test, sample_offsets
 
 CSV_COLUMNS = (
     "n",
@@ -47,11 +47,10 @@ CSV_COLUMNS = (
     "seconds",
 )
 
-# the largest size every alphabet can draw: random_word may ask the
-# generator for 8n random bits in one getrandbits call (32n for an alphabet
-# that does not divide 256), and that call's bit count is a C int, below
-# 2^31. A plain random.Random draws a long word through numpy instead, but
-# any other generator object still makes that call
+# the largest size a config may ask for, a limit of the sweep rather than
+# of any one draw: the harness draws with a plain random.Random, which sends
+# every draw of at least generators.NUMPY_IMPORT_MIN outputs through numpy,
+# so none of its getrandbits calls nears the C int bit-count limit
 MAX_SIZE = 2**25
 
 MODES = ("quantum", "classical", "exact")
@@ -107,11 +106,7 @@ class ExperimentConfig:
             if n < 4 or n % 2:
                 raise ValueError(f"sizes must be even and >= 4, got {n}")
             if n > MAX_SIZE:
-                raise ValueError(
-                    f"sizes must be at most {MAX_SIZE} (2^25), got {n}: a word "
-                    "draws up to 32 random bits per symbol in one call, whose "
-                    "bit count must stay below 2^31"
-                )
+                raise ValueError(f"sizes must be at most {MAX_SIZE} (2^25), got {n}")
         for eps in self.epsilons:
             _check_real("epsilons entry", eps)
             if not 0.0 < eps < 1.0:
@@ -136,16 +131,18 @@ class ExperimentConfig:
             raise ValueError("max_far_attempts must be >= 1")
         if not 2 <= self.alphabet_size <= 256:
             raise ValueError("alphabet_size must lie in [2, 256]")
+        # an epsilon whose shift sample cannot be drawn is refused here,
+        # before any trial runs
+        if any(mode != "exact" for mode in self.modes):
+            for n, eps in itertools.product(self.sizes, self.epsilons):
+                offset_count(n, eps)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
         data = dict(raw)
-        try:
-            thresholds = AssertionThresholds(**data.pop("assertions", {}))
-        except TypeError as exc:
-            raise ValueError(f"bad config section: {exc}") from None
+        assertions = data.pop("assertions", {})
         for key in ("sizes", "epsilons", "modes"):
             if key in data:
                 if not isinstance(data[key], (list, tuple)):
@@ -155,14 +152,12 @@ class ExperimentConfig:
         unknown = sorted(set(data) - known)
         if unknown:
             raise ValueError(f"unknown config keys: {unknown}")
-        missing = [
-            f.name
-            for f in fields(cls)
-            if f.default is MISSING and f.default_factory is MISSING and f.name not in data
-        ]
-        if missing:
-            raise ValueError(f"missing config keys: {missing}")
-        return cls(assertions=thresholds, **data)
+        # a missing key, or an assertions section that is no mapping of known
+        # keys, fails the construction with a TypeError
+        try:
+            return cls(assertions=AssertionThresholds(**assertions), **data)
+        except TypeError as exc:
+            raise ValueError(f"bad config: {exc}") from None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -179,13 +174,20 @@ class CellResult:
     epsilon: float
     mode: str
     instance_class: str
-    trials: int
-    accepts: int
-    mean_queries: float
-    max_queries: int
-    mean_classical_reads: float
-    seconds: float
+    trials: int = 0
+    accepts: int = 0
+    mean_queries: float = 0.0
+    max_queries: int = 0
+    mean_classical_reads: float = 0.0
+    seconds: float = 0.0
     skipped: Optional[str] = None
+
+    @property
+    def label(self) -> str:
+        return (
+            f"n={self.n} eps={self.epsilon} mode={self.mode} "
+            f"class={self.instance_class}"
+        )
 
     @property
     def accept_rate(self) -> float:
@@ -320,21 +322,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 def _aggregate(
     n: int, epsilon: float, mode: str, cls_: str, outcomes: list[tuple]
 ) -> CellResult:
-    seconds = sum(s for _, s in outcomes)
-    skip = next((o for o, _ in outcomes if isinstance(o, str)), None)
+    results, times = zip(*outcomes)
+    seconds = sum(times)
+    skip = next((o for o in results if isinstance(o, str)), None)
     if skip is not None:
-        return CellResult(n, epsilon, mode, cls_, 0, 0, 0.0, 0, 0.0, seconds, skip)
-    count = len(outcomes)
-    accepts = sum(1 for (accepted, _, _), _ in outcomes if accepted)
-    totals = [total for (_, total, _), _ in outcomes]
-    reads = [r for (_, _, r), _ in outcomes]
+        return CellResult(n, epsilon, mode, cls_, seconds=seconds, skipped=skip)
+    accepted, totals, reads = zip(*results)
+    count = len(results)
     return CellResult(
-        n=n,
-        epsilon=epsilon,
-        mode=mode,
-        instance_class=cls_,
+        n, epsilon, mode, cls_,
         trials=count,
-        accepts=accepts,
+        accepts=sum(accepted),
         mean_queries=sum(totals) / count,
         max_queries=max(totals),
         mean_classical_reads=sum(reads) / count,
@@ -343,23 +341,18 @@ def _aggregate(
 
 
 def _csv_row(cell: CellResult) -> list[str]:
-    if cell.skipped is not None:
-        return [
-            str(cell.n), str(cell.epsilon), cell.mode, cell.instance_class,
-            "0", "", "", "", "", f"{cell.seconds:.3f}",
+    key = [str(cell.n), str(cell.epsilon), cell.mode, cell.instance_class]
+    if cell.skipped is None:
+        stats = [
+            str(cell.trials),
+            f"{cell.accept_rate:.6f}",
+            f"{cell.mean_queries:.3f}",
+            str(cell.max_queries),
+            f"{cell.mean_classical_reads:.3f}",
         ]
-    return [
-        str(cell.n),
-        str(cell.epsilon),
-        cell.mode,
-        cell.instance_class,
-        str(cell.trials),
-        f"{cell.accept_rate:.6f}",
-        f"{cell.mean_queries:.3f}",
-        str(cell.max_queries),
-        f"{cell.mean_classical_reads:.3f}",
-        f"{cell.seconds:.3f}",
-    ]
+    else:  # a skipped cell ran no trial
+        stats = ["0", "", "", "", ""]
+    return [*key, *stats, f"{cell.seconds:.3f}"]
 
 
 def _json_cell(cell: CellResult) -> dict:
@@ -415,21 +408,17 @@ def check_assertions(report: ExperimentReport) -> list[str]:
     for cell in report.cells:
         if cell.skipped is not None or cell.trials == 0:
             continue
-        label = (
-            f"n={cell.n} eps={cell.epsilon} mode={cell.mode} "
-            f"class={cell.instance_class}"
-        )
         if cell.instance_class == "member":
             low, _ = cell.wilson
             if low < thresholds.member_accept_lower_min:
                 failures.append(
-                    f"{label}: member accept Wilson lower bound {low:.4f} "
+                    f"{cell.label}: member accept Wilson lower bound {low:.4f} "
                     f"< {thresholds.member_accept_lower_min}"
                 )
         else:
             if cell.accept_rate > thresholds.far_accept_max:
                 failures.append(
-                    f"{label}: far accept rate {cell.accept_rate:.4f} "
+                    f"{cell.label}: far accept rate {cell.accept_rate:.4f} "
                     f"> {thresholds.far_accept_max}"
                 )
     return failures

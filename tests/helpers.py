@@ -7,8 +7,10 @@ package's fast paths are compared against; they are not part of the package:
   `kmp_member`, the Knuth-Morris-Pratt walk (`kmp_occurrences`,
   `_failure_function`) over the charged view `RotatedDoubledView`, whose
   reads define what `exact_member` charges;
-- distance: `_distance_baseline`, the quadratic split scan, and
-  `mismatched_pairs`, the disagreeing mirror pairs of one split;
+- distance: `_distance_baseline`, the quadratic split scan,
+  `mismatched_pairs`, the disagreeing mirror pairs of one split, and
+  `batched_distances`, every split's mismatches over a whole array of words
+  at once (with `binary_words`, every binary word of one length);
 - fingerprints: `left`, `right` and `mirrored_pairs_agree`, read one symbol
   at a time.
 """
@@ -213,3 +215,24 @@ def _distance_baseline(x: Word) -> DistanceResult:
         if best is None or total < best:
             best, best_a = total, a
     return DistanceResult(best, Decomposition(best_a, n // 2 - best_a))
+
+
+def binary_words(n: int) -> np.ndarray:
+    """Every binary word of length n as a (2^n, n) uint8 array: row c holds
+    the bits of c, lowest first."""
+    codes = np.arange(1 << n, dtype="<u4").view(np.uint8).reshape(-1, 4)
+    return np.unpackbits(codes, axis=1, count=n, bitorder="little")
+
+
+def batched_distances(words: np.ndarray) -> np.ndarray:
+    """The distance to the language of each row of a (B, n) array of words,
+    by brute force over every split, independent of the FFT oracle. The split
+    |u| = a mirrors position k onto (s - k) mod n with the odd axis
+    s = 2a - 1 < n - 1, and n even leaves no position on its own mirror, so
+    each disagreeing mirror pair is counted twice."""
+    n = words.shape[1]
+    k = np.arange(n)
+    best = np.full(len(words), n, np.int64)
+    for s in range(1, n - 1, 2):
+        np.minimum(best, (words != words[:, (s - k) % n]).sum(axis=1), out=best)
+    return best // 2

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import twopal.experiment as experiment
 from twopal import exact_member, gen_member
 from twopal.cli import main
 from twopal.experiment import MAX_SIZE, ExperimentConfig, load_config
@@ -218,6 +219,15 @@ def test_experiment_assert_failure_exits_nonzero(tmp_path, capsys):
         {"epsilons": [0.2], "trials": 2, "modes": ["exact"]},
         {"sizes": [[16]], "epsilons": [0.2], "trials": 2, "modes": ["exact"]},
         {"sizes": [16], "epsilons": [0.2], "trials": 2, "modes": [{}]},
+        {"sizes": [16], "trials": 2, "modes": ["exact"]},
+        {"sizes": [16], "epsilons": [0.2], "modes": ["exact"], "assertions": None},
+        {"sizes": [16], "epsilons": [0.2], "modes": ["exact"], "assertions": [1]},
+        {
+            "sizes": [16],
+            "epsilons": [0.2],
+            "modes": ["exact"],
+            "assertions": {"foo": 1},
+        },
     ],
     ids=[
         "sizes-not-a-list",
@@ -226,6 +236,10 @@ def test_experiment_assert_failure_exits_nonzero(tmp_path, capsys):
         "sizes-missing",
         "sizes-entry-a-list",
         "modes-entry-an-object",
+        "epsilons-missing",
+        "assertions-null",
+        "assertions-a-list",
+        "assertions-unknown-key",
     ],
 )
 def test_experiment_malformed_config_is_a_usage_error(tmp_path, capsys, raw):
@@ -296,10 +310,37 @@ def test_experiment_tiny_epsilon_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_experiment_unusable_epsilon_is_refused_before_any_trial(
+    tmp_path, capsys, monkeypatch
+):
+    # the usable epsilon's cells come first, so a check made only when a
+    # tester first needs the unusable one would run their trials
+    calls = []
+    run_trial = experiment._run_trial
+
+    def spy(config, key):
+        calls.append(key)
+        return run_trial(config, key)
+
+    monkeypatch.setattr(experiment, "_run_trial", spy)
+    raw = {
+        "sizes": [1024, 262144],
+        "epsilons": [0.1, 1e-300],
+        "trials": 8,
+        "modes": ["quantum"],
+    }
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "report.csv"
+    assert main(["experiment", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: epsilon=1e-300 needs m=")
+    assert calls == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("size", [1 << 28, 1 << 36])
 def test_experiment_oversized_size_is_a_usage_error(tmp_path, capsys, size):
-    # a word of n symbols draws up to 32n random bits in one call, whose bit
-    # count is a C int; such sizes are refused before anything is drawn
+    # sizes above the sweep's limit are refused before anything is drawn
     raw = {"sizes": [size], "epsilons": [0.2], "trials": 1, "modes": ["exact"]}
     config = tmp_path / "config.json"
     config.write_text(json.dumps(raw))

@@ -10,7 +10,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import _distance_baseline, all_words, brute_force_member, mismatched_pairs
+from helpers import (
+    _distance_baseline,
+    all_words,
+    batched_distances,
+    binary_words,
+    brute_force_member,
+    mismatched_pairs,
+)
 from twopal import (
     Decomposition,
     Word,
@@ -115,6 +122,21 @@ def test_fast_equals_baseline_exhaustive(n_max, alphabet_size):
     for n in range(4, n_max + 1, 2):
         for w in all_words(n, alphabet_size):
             assert distance_to_language(w) == _distance_baseline(w)
+
+
+def test_batched_reference_equals_the_oracle():
+    # every binary word at n <= 14 and seeded ternary words, each row of the
+    # batch read back as its own word
+    for n in range(4, 15, 2):
+        words = binary_words(n)
+        expected = [distance_to_language(Word(row)).distance for row in words]
+        assert batched_distances(words).tolist() == expected
+    rng = random.Random(43)
+    for n in range(4, 67, 2):
+        words = [random_word(n, rng, alphabet_size=3) for _ in range(40)]
+        batch = np.frombuffer(b"".join(w.symbols for w in words), np.uint8)
+        expected = [distance_to_language(w).distance for w in words]
+        assert batched_distances(batch.reshape(-1, n)).tolist() == expected
 
 
 def _adversarial_words(n):

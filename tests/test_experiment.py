@@ -534,3 +534,149 @@ def test_seeded_report_with_skipped_cells_is_frozen():
     assert [_cell_record(c) for c in report.cells] == [
         _expected_cell(r, FROZEN_SKIP_REASON) for r in FROZEN_SKIPPED_CELLS
     ]
+
+
+# --- report bytes -----------------------------------------------------
+
+# a ternary sweep with every mode whose far cells exhaust their budget,
+# written with each cell's seconds set to 0.25: the CSV's decimals and a
+# skipped row's blank columns, the JSON's key order and Wilson bounds
+GOLDEN_CSV = (
+    "n,epsilon,mode,class,trials,accept_rate,mean_queries,max_queries,mean_classical_reads,seconds\r\n"
+    "16,0.45,quantum,member,3,1.000000,96.000,144,36.000,0.250\r\n"
+    "16,0.45,quantum,far,0,,,,,0.250\r\n"
+    "16,0.45,classical,member,3,1.000000,108.000,144,108.000,0.250\r\n"
+    "16,0.45,classical,far,0,,,,,0.250\r\n"
+    "16,0.45,exact,member,3,1.000000,38.333,45,38.333,0.250\r\n"
+    "16,0.45,exact,far,0,,,,,0.250\r\n"
+)
+
+GOLDEN_JSON = """\
+{
+  "config": {
+    "sizes": [
+      16
+    ],
+    "epsilons": [
+      0.45
+    ],
+    "trials": 6,
+    "seed": 2024,
+    "modes": [
+      "quantum",
+      "classical",
+      "exact"
+    ],
+    "member_fraction": 0.5,
+    "workers": 1,
+    "max_far_attempts": 3,
+    "alphabet_size": 3,
+    "assertions": {
+      "member_accept_lower_min": 0.8,
+      "far_accept_max": 0.3
+    }
+  },
+  "cells": [
+    {
+      "n": 16,
+      "epsilon": 0.45,
+      "mode": "quantum",
+      "class": "member",
+      "trials": 3,
+      "accept_rate": 1.0,
+      "accept_rate_wilson_low": 0.43850296824495455,
+      "accept_rate_wilson_high": 1.0,
+      "mean_queries": 96.0,
+      "max_queries": 144,
+      "mean_classical_reads": 36.0,
+      "seconds": 0.25
+    },
+    {
+      "n": 16,
+      "epsilon": 0.45,
+      "mode": "quantum",
+      "class": "far",
+      "trials": 0,
+      "accept_rate": 0.0,
+      "accept_rate_wilson_low": 0.0,
+      "accept_rate_wilson_high": 1.0,
+      "mean_queries": 0.0,
+      "max_queries": 0,
+      "mean_classical_reads": 0.0,
+      "seconds": 0.25,
+      "skipped": "no far instance found for n=16, epsilon=0.45 after 3 attempts"
+    },
+    {
+      "n": 16,
+      "epsilon": 0.45,
+      "mode": "classical",
+      "class": "member",
+      "trials": 3,
+      "accept_rate": 1.0,
+      "accept_rate_wilson_low": 0.43850296824495455,
+      "accept_rate_wilson_high": 1.0,
+      "mean_queries": 108.0,
+      "max_queries": 144,
+      "mean_classical_reads": 108.0,
+      "seconds": 0.25
+    },
+    {
+      "n": 16,
+      "epsilon": 0.45,
+      "mode": "classical",
+      "class": "far",
+      "trials": 0,
+      "accept_rate": 0.0,
+      "accept_rate_wilson_low": 0.0,
+      "accept_rate_wilson_high": 1.0,
+      "mean_queries": 0.0,
+      "max_queries": 0,
+      "mean_classical_reads": 0.0,
+      "seconds": 0.25,
+      "skipped": "no far instance found for n=16, epsilon=0.45 after 3 attempts"
+    },
+    {
+      "n": 16,
+      "epsilon": 0.45,
+      "mode": "exact",
+      "class": "member",
+      "trials": 3,
+      "accept_rate": 1.0,
+      "accept_rate_wilson_low": 0.43850296824495455,
+      "accept_rate_wilson_high": 1.0,
+      "mean_queries": 38.333333333333336,
+      "max_queries": 45,
+      "mean_classical_reads": 38.333333333333336,
+      "seconds": 0.25
+    },
+    {
+      "n": 16,
+      "epsilon": 0.45,
+      "mode": "exact",
+      "class": "far",
+      "trials": 0,
+      "accept_rate": 0.0,
+      "accept_rate_wilson_low": 0.0,
+      "accept_rate_wilson_high": 1.0,
+      "mean_queries": 0.0,
+      "max_queries": 0,
+      "mean_classical_reads": 0.0,
+      "seconds": 0.25,
+      "skipped": "no far instance found for n=16, epsilon=0.45 after 3 attempts"
+    }
+  ]
+}
+"""
+
+
+def test_report_bytes_are_pinned(tmp_path):
+    config = _frozen_config(
+        sizes=(16,), epsilons=(0.45,), max_far_attempts=3, alphabet_size=3
+    )
+    report = run_experiment(config)
+    for cell in report.cells:
+        cell.seconds = 0.25
+    emit_report(report, tmp_path / "report.csv", "csv")
+    emit_report(report, tmp_path / "report.json", "json")
+    assert (tmp_path / "report.csv").read_bytes().decode() == GOLDEN_CSV
+    assert (tmp_path / "report.json").read_text() == GOLDEN_JSON

@@ -3,12 +3,15 @@ import random
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
     RotatedDoubledView,
     all_words,
+    batched_distances,
+    binary_words,
     brute_force_member,
     kmp_member,
     kmp_occurrences,
@@ -388,6 +391,19 @@ def test_no_single_symbol_change_of_a_member_is_a_member(n, alphabet_size):
             for c in range(alphabet_size):
                 if c != m[i]:
                     assert m[:i] + bytes([c]) + m[i + 1 :] not in members
+
+
+@pytest.mark.parametrize("n", [18, 20])
+def test_no_bit_flip_of_a_binary_member_is_a_member_exhaustive(n):
+    # every binary word, classified at once by the batched reference: row c
+    # of binary_words(n) holds the bits of c, so flipping bit k is c ^ 2^k
+    members = np.flatnonzero(batched_distances(binary_words(n)) == 0)
+    built = {
+        sum(bit << k for k, bit in enumerate(w.symbols)) for w in member_words(n)
+    }
+    assert members.tolist() == sorted(built)
+    flipped = members[:, None] ^ (1 << np.arange(n))
+    assert not np.isin(flipped, members).any()
 
 
 @pytest.mark.parametrize("alphabet_size", [2, 3])
