@@ -18,12 +18,11 @@ integer sum over symbols of count_even * count_odd.
 Half-lengths above BLOCK_CUTOVER run each transform blocked, as a four-step
 FFT (Bailey, "FFTs in external or hierarchical memory", 1990) on the
 h = N1 x N2 factoring of the sequence, N1 being h's largest divisor not
-above sqrt(h) (1024 x 1024 at n = 2^21). Each half's indicator is written,
-INDICATOR_TILE columns at a time, as an N2 x N1 grid whose cell [j2, j1]
-holds position N2 * j1 + j2, so that both real passes run along contiguous
-rows: a length-N1 rfft along each row, one multiply by the twiddles
-W_h^(j2 * k1) and a complex length-N2 fft down each column, every transform
-short enough to stay in cache. The spectrum is
+above sqrt(h) (1024 x 1024 at n = 2^21). Each half is read as an N2 x N1
+grid whose cell [j2, j1] holds position N2 * j1 + j2, so that both real
+passes run along contiguous rows: a length-N1 rfft along each row, one
+multiply by the twiddles W_h^(j2 * k1) and a complex length-N2 fft down
+each column, every transform short enough to stay in cache. The spectrum is
 left in the permuted order, position [k2, k1] holding frequency
 k1 + N1 * k2, because the convolution only multiplies spectra pointwise;
 the inverse runs the same steps backwards (ifft down each column, the
@@ -41,21 +40,43 @@ C = 1 and the second table full). At or below the cutover, or when h has no divi
 between 2 and sqrt(h), the shape is (h, 1): the grid is a single row, run
 through one plain rfft and one irfft, with no twiddles.
 
-The transforms run in a per-thread workspace of two float64 buffers, which
-stay at the largest size the thread has served (about 17 MB once it has
-served n = 2^21): each half-length runs in views of their first elements,
-so moving between sizes allocates nothing. The twiddle tables are computed
-once per blocked shape and shared by all threads. Each buffer holds one
-half's spectrum, through a complex view. numpy copies a transform's whole
-input whenever its output overlaps it, so the even half's indicator is
-written into the odd buffer and transformed into the even one; the odd
-half's indicator then goes into the odd buffer and is transformed in place.
-The product is formed in place in the even buffer. Blocked, the inverse's
-column ifft and conjugate twiddles run in place there too (a strided
-transform along axis 0 works through small batches of columns, so no
-whole copy is made); for either shape the final irfft writes the result
-into the odd buffer. A binary word therefore allocates nothing of size n/2
-per call beyond the one copy numpy makes of the odd half's input. The
+A forward transform writes its half's indicator one row block at a time,
+about ROW_BLOCK reals (64 grid rows, 512 KB at n = 2^21; the single row of
+an (h, 1) grid), into a block of its own, and rffts that block straight
+into its rows of the half's spectrum while the block is still in cache. So
+no transform's output overlaps its input, and numpy, which copies a
+transform's whole input when they overlap, copies no half. The two halves'
+transforms write disjoint memory, so at half-lengths of THREAD_MIN (2^18)
+and up, on a host with more than one CPU, the even half runs on the
+calling thread while a helper thread runs the odd one: numpy's FFTs and
+ufuncs release the interpreter lock, and at n = 2^21 a binary call takes
+0.66-0.70 of its one-thread time (31-32 against 45-48 ms, medians of 60
+interleaved calls on a 2-core host). The inverse is split the
+same way, its column ifft and conjugate twiddles by column range, then its
+row irfft by row range. Each helper is a new thread, started for one step
+and joined before the step ends, so a call leaves no thread behind and a
+process forked after it inherits none. Below THREAD_MIN the threads' start
+and join (about 0.1 ms each, three per binary call) and their contention
+cost about what they save: against one thread, two took 0.96-1.24 times as
+long at n = 2^17, 0.85-1.10 at 2^18 and 0.72-0.86 at 2^19 (medians of
+150-200 interleaved calls, four runs on a 2-core host). Everything below
+it runs on the calling thread.
+
+The transforms run in a per-thread workspace of three float64 buffers, two
+for the halves' spectra and one for their row blocks, which stay at the
+largest size the thread has served (about 18 MB once it has served
+n = 2^21, 1 MB of it row blocks): each half-length runs in views of their
+first elements, so moving between sizes allocates nothing. A helper thread
+works in its caller's views and keeps nothing. The twiddle tables are
+computed once per blocked shape and shared by all threads. Each spectrum
+buffer holds one half's spectrum, through a complex view. The product is
+formed in place in the even buffer. Blocked, the inverse's column ifft and
+conjugate twiddles run in place there too (a strided transform along axis
+0 works through small batches of columns, so no whole copy is made); for
+either shape the final irfft writes the result into the odd buffer's
+reals. A binary word therefore allocates nothing of size n/2 per call (a
+repeat call at n = 2^21 traces a peak of about 1 MB). A word with three or
+more present symbols also allocates three spectrum-size accumulators. The
 tests compare every result with a quadratic split scan, kept in
 tests/helpers.py.
 """
@@ -64,6 +85,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import threading
 from dataclasses import dataclass
 
@@ -133,17 +155,31 @@ def _twiddles(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class _Plan:
     """This thread's transforms for one half-length h: the blocked shape
-    (N1, N2), views of the two workspace buffers (the odd buffer's first h
-    reals as an N2 x N1 grid, and each buffer's first
-    2 * N2 * (N1 // 2 + 1) reals as one spectrum of N2 x (N1 // 2 + 1)
-    complex values) and the twiddle tables, none for the (h, 1) shape,
-    whose grid and spectrum are single rows."""
+    (N1, N2), views of the three workspace buffers (each of the first two
+    buffers' first 2 * N2 * (N1 // 2 + 1) reals as one half's spectrum of
+    N2 x (N1 // 2 + 1) complex values, the odd buffer's first h reals again
+    as the N2 x N1 result grid, and the third buffer as one row block per
+    half, _block_rows(N1, N2) x N1 reals) and the twiddle tables, none for
+    the (h, 1) shape, whose grid and spectrum are single rows."""
 
     h: int
     shape: tuple[int, int]
     real: np.ndarray
     spectra: tuple[np.ndarray, np.ndarray]
+    blocks: tuple[np.ndarray, np.ndarray]
     twiddles: tuple[np.ndarray, ...]
+
+
+# a forward transform writes its half's indicator into its own row block of
+# about this many reals (512 KB; 64 grid rows at n = 2^21), which stays in
+# cache until its rfft has read it
+ROW_BLOCK = 2**16
+
+
+def _block_rows(n1: int, n2: int) -> int:
+    """Grid rows per row block: as many as fit in ROW_BLOCK reals, at least
+    one and at most the grid's N2."""
+    return max(1, min(n2, ROW_BLOCK // n1))
 
 
 _workspace = threading.local()
@@ -152,78 +188,151 @@ _workspace = threading.local()
 def _plan(h: int) -> _Plan:
     """This thread's plan for half-length h, kept until another h is served.
 
-    The plan's views are cut from the thread's two workspace buffers, which
-    only ever grow: they stay at the largest size served so far, so moving
-    between sizes allocates nothing once the largest has been seen (a
-    thread that has served n = 2^21 keeps about 17 MB)."""
+    The plan's views are cut from the thread's three workspace buffers,
+    which only ever grow: each stays at the largest size served so far, so
+    moving between sizes allocates nothing once the largest has been seen
+    (a thread that has served n = 2^21 keeps about 18 MB)."""
     plan = getattr(_workspace, "plan", None)
     if plan is not None and plan.h == h:
         return plan
     n1, n2 = _block_shape(h)
     cols = n1 // 2 + 1
+    rows = _block_rows(n1, n2)
     size = 2 * n2 * cols
-    buffers = getattr(_workspace, "buffers", ())
-    if not buffers or buffers[0].size < size:
-        buffers = _workspace.buffers = (np.empty(size), np.empty(size))
+    kept = getattr(_workspace, "buffers", (np.empty(0),) * 3)
+    buffers = _workspace.buffers = tuple(
+        buf if buf.size >= need else np.empty(need)
+        for buf, need in zip(kept, (size, size, 2 * rows * n1))
+    )
     real = buffers[1][:h].reshape(n2, n1)
     spectra = tuple(
-        buf[:size].view(np.complex128).reshape(n2, cols) for buf in buffers
+        buf[:size].view(np.complex128).reshape(n2, cols) for buf in buffers[:2]
     )
+    blocks = tuple(buffers[2][: 2 * rows * n1].reshape(2, rows, n1))
     twiddles = _twiddles(n1, n2) if n2 > 1 else ()
-    plan = _workspace.plan = _Plan(h, (n1, n2), real, spectra, twiddles)
+    plan = _workspace.plan = _Plan(h, (n1, n2), real, spectra, blocks, twiddles)
     return plan
 
 
-# a blocked indicator is written this many grid columns at a time. Along a
-# grid row the half is read with a stride of 2 * N2 bytes, so one write over
-# the whole grid reloads each cache line of the half once per row it serves;
-# a tile this narrow keeps its lines cached until every row has used them
-# (at n = 2^21 on a 2-core x86 host, 1.7 ms per indicator against 2.6 ms)
-INDICATOR_TILE = 64
+# half-lengths at or above this run on two threads when the host has more
+# than one CPU (_run); below it the helper threads cost about what they
+# save (see the module docstring)
+THREAD_MIN = 2**18
+
+_CPUS = os.cpu_count() or 1
 
 
-def _indicator(half: np.ndarray, sym: int, out: np.ndarray) -> tuple[np.ndarray, int]:
-    """Write half == sym as floats into out; return it and its count. A
-    single-row grid, the (h, 1) shape, is written in one call."""
-    tile = INDICATOR_TILE if out.shape[0] > 1 else out.shape[1]
-    for j in range(0, out.shape[1], tile):
-        np.equal(half[:, j : j + tile], sym, out=out[:, j : j + tile])
-    return out, int(out.sum())
+def _run(func, calls, threaded: bool) -> list:
+    """[func(*args) for args in calls]: in turn, or, when threaded and there
+    are two calls, the second on a helper thread while this thread makes the
+    first. The helper is joined before this returns or raises, so no thread
+    outlives the call, and an exception it met is raised here."""
+    if not threaded or len(calls) < 2:
+        return [func(*args) for args in calls]
+    first, second = calls
+    outcome = {}
+
+    def helper():
+        try:
+            outcome["result"] = func(*second)
+        except BaseException as exc:  # raised again on the calling thread
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=helper)
+    thread.start()
+    try:
+        result = func(*first)
+    finally:
+        thread.join()
+    if "error" in outcome:
+        raise outcome["error"]
+    return [result, outcome["result"]]
+
+
+def _halves(length: int, threaded: bool) -> tuple[slice, ...]:
+    """range(length) as one slice, or, when threaded and length is at least
+    2, as its two halves."""
+    if not threaded or length < 2:
+        return (slice(None),)
+    return slice(0, length // 2), slice(length // 2, None)
 
 
 def _twiddle(
-    spec: np.ndarray, twiddles: tuple[np.ndarray, ...], inverse: bool = False
+    spec: np.ndarray,
+    twiddles: tuple[np.ndarray, ...],
+    inverse: bool = False,
+    cols: slice = slice(None),
 ) -> None:
-    """Multiply spec[j2, k1] by W_h^(j2 * k1), or by its conjugate, in place.
-    The conjugates are taken per call (15 us at n = 2^21) rather than kept:
-    kept, they would double the tables' memory."""
-    view = spec.reshape(-1, twiddles[0].shape[1], spec.shape[1])
+    """Multiply spec[j2, k1] by W_h^(j2 * k1), or by its conjugate, in place,
+    for the columns k1 in cols. The conjugates are taken per call (15 us at
+    n = 2^21) rather than kept: kept, they would double the tables' memory."""
+    part = spec[:, cols]
+    view = part.reshape(-1, twiddles[0].shape[1], part.shape[1])
     for table in twiddles:
-        view *= table.conj() if inverse else table
+        view *= table[..., cols].conj() if inverse else table[..., cols]
 
 
-def _spectrum(ind: np.ndarray, spec: np.ndarray, plan: _Plan) -> np.ndarray:
-    """Forward transform of the grid ind, written into spec: a length-N1
-    rfft along each row, then, blocked, the twiddles and a length-N2 fft
-    down each column. Position [k2, k1] of the result holds frequency
-    k1 + N1 * k2."""
-    np.fft.rfft(ind, axis=1, out=spec)
-    if not plan.twiddles:
-        return spec
-    _twiddle(spec, plan.twiddles)
-    return np.fft.fft(spec, axis=0, out=spec)
+def _spectrum(
+    half: np.ndarray,
+    sym: int,
+    spec: np.ndarray,
+    block: np.ndarray,
+    twiddles: tuple[np.ndarray, ...],
+    total: np.ndarray | None,
+) -> int:
+    """Write the forward transform of the grid half == sym into spec, add it
+    into total unless that is None, and return the grid's count of sym.
+
+    The indicator is written block.shape[0] grid rows at a time into block,
+    and a length-N1 rfft along each of those rows goes straight into the
+    same rows of spec; blocked, the twiddles and a length-N2 fft down each
+    column follow. Position [k2, k1] of the result holds frequency
+    k1 + N1 * k2; index 0, position [0, 0], is the grid's sum, the count,
+    rounded because a Bluestein length sums inexactly. Only spec, block and
+    total are written, so both halves can run at once."""
+    step = block.shape[0]
+    for start in range(0, half.shape[0], step):
+        rows = half[start : start + step]
+        ind = block[: rows.shape[0]]
+        np.equal(rows, sym, out=ind)
+        np.fft.rfft(ind, axis=1, out=spec[start : start + step])
+    if twiddles:
+        _twiddle(spec, twiddles)
+        np.fft.fft(spec, axis=0, out=spec)
+    if total is not None:
+        total += spec
+    return round(spec.item(0).real)
 
 
-def _inverse(power: np.ndarray, plan: _Plan) -> np.ndarray:
+def _inverse_columns(
+    power: np.ndarray, twiddles: tuple[np.ndarray, ...], cols: slice
+) -> None:
+    """The blocked inverse's first steps on the columns cols of power, in
+    place: a length-N2 ifft down each column, then the conjugate twiddles."""
+    part = power[:, cols]
+    np.fft.ifft(part, axis=0, out=part)
+    _twiddle(power, twiddles, inverse=True, cols=cols)
+
+
+def _inverse_rows(power: np.ndarray, plan: _Plan, rows: slice) -> None:
+    """The inverse's last step on the rows rows of power: a length-N1 irfft
+    along each, written into the same rows of the odd buffer's grid."""
+    np.fft.irfft(power[rows], plan.shape[0], axis=1, out=plan.real[rows])
+
+
+def _inverse(power: np.ndarray, plan: _Plan, threaded: bool) -> np.ndarray:
     """The real length-h sequence whose spectrum, in _spectrum's order, is
     power, as an N2 x N1 grid whose cell [j2, j1] holds index N2 * j1 + j2,
     written into the odd buffer's reals. Blocked, the column ifft and the
     conjugate twiddles run in place in power, which is overwritten, and
-    only the row irfft writes elsewhere."""
+    only the row irfft writes elsewhere. When threaded, each step's columns
+    or rows are split in two halves between two threads."""
     if plan.twiddles:
-        np.fft.ifft(power, axis=0, out=power)
-        _twiddle(power, plan.twiddles, inverse=True)
-    return np.fft.irfft(power, plan.shape[0], axis=1, out=plan.real)
+        cols = _halves(power.shape[1], threaded)
+        _run(_inverse_columns, [(power, plan.twiddles, c) for c in cols], threaded)
+    rows = _halves(power.shape[0], threaded)
+    _run(_inverse_rows, [(power, plan, r) for r in rows], threaded)
+    return plan.real
 
 
 def distance_to_language(x: Word) -> DistanceResult:
@@ -240,11 +349,22 @@ def distance_to_language(x: Word) -> DistanceResult:
         # every mirror pair is equal
         return DistanceResult(0, Decomposition(1, h - 1))
     plan = _plan(h)
+    threaded = h >= THREAD_MIN and _CPUS > 1
     # each half as the N2 x N1 grid whose cell [j2, j1] is its position
     # N2 * j1 + j2, that is, symbol 2 * (N2 * j1 + j2) + parity
-    even, odd = arr.reshape(*plan.shape, 2).T
-    real_odd = plan.real
+    halves = arr.reshape(*plan.shape, 2).T
     spec_even, spec_odd = plan.spectra
+
+    def forward(sym: int, totals=(None, None)) -> list[int]:
+        # both halves' transforms, on two threads when threaded
+        calls = [
+            (half, sym, spec, block, plan.twiddles, total)
+            for half, spec, block, total in zip(
+                halves, plan.spectra, plan.blocks, totals
+            )
+        ]
+        return _run(_spectrum, calls, threaded)
+
     # split a pairs even index 2*alpha with odd index 2*beta + 1 exactly when
     # alpha + beta = a - 1 (mod h): a length-h cyclic convolution per symbol.
     # Each half's indicators sum to all ones, whose spectrum is 0 away from
@@ -252,39 +372,32 @@ def distance_to_language(x: Word) -> DistanceResult:
     # are minus the sum of the others' there. Index 0 of the product is the
     # number of equal pairs in any split, from the counts. Spectra stay in
     # the blocked transform's permuted order, which a pointwise product
-    # does not see, and index 0 is still position [0, 0]. Each even
-    # indicator goes through the odd buffer, so that its transform does not
-    # overlap its output and numpy makes no copy of it.
+    # does not see, and index 0 is still position [0, 0].
     if hi - lo == 1:
-        ind_even, count_even = _indicator(even, lo, real_odd)
-        power = _spectrum(ind_even, spec_even, plan)
-        ind_odd, count_odd = _indicator(odd, lo, real_odd)
-        power *= _spectrum(ind_odd, spec_odd, plan)
+        count_even, count_odd = forward(lo)
+        power = spec_even
+        power *= spec_odd
         power *= 2
         pairs = count_even * count_odd + (h - count_even) * (h - count_odd)
     else:
         power = np.zeros_like(spec_even)
-        sum_even = np.zeros_like(power)
-        sum_odd = np.zeros_like(power)
+        sum_even, sum_odd = sums = np.zeros_like(power), np.zeros_like(power)
         pairs = total_even = total_odd = 0
         for sym in range(lo, hi):
             if sym not in x.symbols:  # a byte search, no indicator
                 continue
-            ind_even, count_even = _indicator(even, sym, real_odd)
-            _spectrum(ind_even, spec_even, plan)
-            ind_odd, count_odd = _indicator(odd, sym, real_odd)
-            _spectrum(ind_odd, spec_odd, plan)
-            power += spec_even * spec_odd
-            sum_even += spec_even
-            sum_odd += spec_odd
+            count_even, count_odd = forward(sym, sums)
+            spec_even *= spec_odd
+            power += spec_even
             pairs += count_even * count_odd
             total_even += count_even
             total_odd += count_odd
-        power += sum_even * sum_odd
+        sum_even *= sum_odd
+        power += sum_even
         pairs += (h - total_even) * (h - total_odd)
     power.flat[0] = pairs
     # each split has h mirror pairs; residue a - 1 counts its equal ones
-    grid = _inverse(power, plan)
+    grid = _inverse(power, plan, threaded)
     np.rint(grid, out=grid)
     # cell [j2, j1] holds residue N2 * j1 + j2, so residues ascend down each
     # column and then across columns; the last cell, residue h - 1, is no

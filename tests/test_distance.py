@@ -1,10 +1,15 @@
+import collections
 import hashlib
 import inspect
 import math
+import os
 import random
+import subprocess
+import sys
 import threading
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,13 +34,18 @@ from twopal import (
     is_eps_far,
     random_word,
 )
+from twopal import distance
 from twopal.distance import (
     BLOCK_CUTOVER,
-    INDICATOR_TILE,
+    ROW_BLOCK,
+    THREAD_MIN,
     DistanceResult,
+    _block_rows,
     _block_shape,
-    _indicator,
     _plan,
+    _run,
+    _spectrum,
+    _twiddle,
     _twiddles,
     _workspace,
 )
@@ -408,13 +418,28 @@ def test_repeat_binary_call_traces_at_most_5n_bytes():
     assert peak <= 5 * n
 
 
-@pytest.mark.parametrize("h, shape", [(512, (512, 1)), (1 << 15, (128, 256))])
+def _row_blocks(h):
+    """Row blocks per half of a forward transform at half-length h."""
+    n1, n2 = _block_shape(h)
+    return -(-n2 // _block_rows(n1, n2))
+
+
+def _parts(h):
+    """Threads that share a call at half-length h: two at or above
+    THREAD_MIN on a host with more than one CPU, else one."""
+    return 2 if h >= THREAD_MIN and distance._CPUS > 1 else 1
+
+
+@pytest.mark.parametrize(
+    "h, shape", [(512, (512, 1)), (1 << 15, (128, 256)), (1 << 20, (1024, 1024))]
+)
 def test_at_most_one_forward_transform_per_symbol_reads_its_own_output(
     monkeypatch, h, shape
 ):
-    # numpy copies a transform's input, h floats, when out overlaps it; the
-    # even half is transformed out of the other buffer, so only the odd
-    # half's transform pays for that copy
+    # numpy copies a transform's input, h floats, when out overlaps it; each
+    # half's indicator is written into its own row block, outside both
+    # spectra, so no forward transform reads its own output, on one thread
+    # or on two (2^21)
     assert _block_shape(h) == shape
     rng = random.Random(h)
     words = {k: random_word(2 * h, rng, alphabet_size=k) for k in (2, 3)}
@@ -430,9 +455,10 @@ def test_at_most_one_forward_transform_per_symbol_reads_its_own_output(
     for present, w in words.items():
         overlaps.clear()
         assert distance_to_language(w) == expected[present]
-        # two forward transforms per present symbol but the last
-        assert len(overlaps) == 2 * (present - 1)
-        assert sum(overlaps) <= present - 1
+        # two forward transforms per present symbol but the last, one rfft
+        # per row block each
+        assert len(overlaps) == 2 * (present - 1) * _row_blocks(h)
+        assert not any(overlaps)
 
 
 # --- blocked (four-step) transforms above the cutover -------------------
@@ -514,14 +540,22 @@ def test_blocked_transforms_stay_below_the_cutover_at_2_21(monkeypatch):
     rng = random.Random(103)
     words = {k: random_word(n, rng, alphabet_size=k) for k in (2, 3)}
     calls = _count_transforms(monkeypatch, ("rfft", "irfft", "fft", "ifft"))
+    h = n // 2
     for present, w in words.items():
         calls.clear()
         distance_to_language(w)
         assert max(length for _, length in calls) <= BLOCK_CUTOVER
-        # each forward transform is one rfft and one fft: two per present
-        # symbol but the last, then one inverse
-        names = [name for name, _ in calls]
-        assert names == ["rfft", "fft"] * (2 * (present - 1)) + ["ifft", "irfft"]
+        # each forward transform is one rfft per row block and one fft, two
+        # per present symbol but the last; the inverse's ifft and irfft run
+        # in one part per thread
+        forward = 2 * (present - 1)
+        names = collections.Counter(name for name, _ in calls)
+        assert names == {
+            "rfft": forward * _row_blocks(h),
+            "fft": forward,
+            "ifft": _parts(h),
+            "irfft": _parts(h),
+        }
 
 
 def test_factored_twiddles_stay_small_at_2_21():
@@ -544,7 +578,8 @@ def test_factored_twiddles_stay_small_at_2_21():
 def test_first_2_21_call_on_a_new_thread_keeps_only_its_buffers_and_tables():
     # a new thread starts with an empty workspace, and the cleared table
     # cache holds no 2^21 tables, so this call keeps exactly what it makes:
-    # the thread's two buffers and the factored twiddle pair
+    # the thread's three buffers (two spectra and 1 MB of row blocks) and
+    # the factored twiddle pair; its helper threads keep nothing
     n = 1 << 21
     w = random_word(n, random.Random(107))
     expected = _single_transform_distance(w)  # also loads numpy.fft untraced
@@ -568,7 +603,7 @@ def test_first_2_21_call_on_a_new_thread_keeps_only_its_buffers_and_tables():
     assert not thread.is_alive()
     [(result, retained, buffers)] = measured
     assert result == expected
-    assert buffers >= n * 8
+    assert buffers >= n * 8 + 2 * ROW_BLOCK * 8
     # the full (N1/2 + 1) x N2 table would hold about n/4 complex values
     # (8 MB); the factored pair holds 2 * 513 * 32 of them (0.5 MB)
     assert 0 <= retained - buffers < 0.04 * (n // 2) * 16
@@ -600,6 +635,7 @@ def test_one_workspace_serves_every_size_after_the_largest():
         assert np.shares_memory(plan.real, first.real)
         for buf in (0, 1):
             assert np.shares_memory(plan.spectra[buf], first.spectra[buf])
+            assert plan.blocks[buf].base is first.blocks[buf].base
     assert plans[3].shape == first.shape
     assert plans[3].spectra[0].base is first.spectra[0].base
     assert plans[3].real.base is first.real.base
@@ -619,12 +655,15 @@ def test_twiddle_tables_are_computed_once_per_shape():
     assert sum(table.nbytes for table in tables) < 0.04 * h * 16
 
 
-@pytest.mark.parametrize("h, shape", [(512, (512, 1)), (1 << 15, (128, 256))])
+@pytest.mark.parametrize(
+    "h, shape", [(512, (512, 1)), (1 << 15, (128, 256)), (1 << 18, (512, 512))]
+)
 def test_inverse_runs_its_column_ifft_in_place_into_the_odd_buffer(
     monkeypatch, h, shape
 ):
-    # blocked, the one ifft transforms the product spectrum into itself;
-    # either shape then leaves the result grid in the odd buffer's reals
+    # blocked, the ifft transforms the product spectrum into itself, in one
+    # part per thread (two column ranges at 2^19); either shape then leaves
+    # the result grid in the odd buffer's reals, each irfft writing its rows
     assert _block_shape(h) == shape
     rng = random.Random(h + 1)
     words = [random_word(2 * h, rng, alphabet_size=k) for k in (2, 3)]
@@ -638,15 +677,21 @@ def test_inverse_runs_its_column_ifft_in_place_into_the_odd_buffer(
             return _transform(a, *args, out=out, **kwargs)
 
         monkeypatch.setattr(np.fft, name, recorded)
+    parts = _parts(h) if shape[1] > 1 else 1
     for w, result in zip(words, expected):
         calls.clear()
         assert distance_to_language(w) == result
-        names = [name for name, *_ in calls]
-        assert names == (["ifft", "irfft"] if shape[1] > 1 else ["irfft"])
-        if shape[1] > 1:
-            _, a, out = calls[0]
-            assert out is a
-        assert calls[-1][2] is _plan(h).real
+        names = collections.Counter(name for name, *_ in calls)
+        assert names == ({"ifft": parts} if shape[1] > 1 else {}) | {"irfft": parts}
+        real = _plan(h).real
+        rows = 0
+        for name, a, out in calls:
+            if name == "ifft":
+                assert out is a
+            else:
+                assert out.base is real.base and np.shares_memory(out, real)
+                rows += out.shape[0]
+        assert rows == real.shape[0]
 
 
 def test_unrounded_counts_are_within_1e_6_of_integers_at_2_21(monkeypatch):
@@ -748,9 +793,11 @@ def test_real_passes_run_along_contiguous_rows(monkeypatch, h):
 
         monkeypatch.setattr(np.fft, name, recorded)
     assert [distance_to_language(w) for w in words] == expected
-    # binary: two forward transforms and one inverse; ternary: four and one
-    names = ["rfft", "rfft", "irfft"] + ["rfft"] * 4 + ["irfft"]
-    assert [name for name, *_ in layouts] == names
+    # binary: two forward transforms and one inverse; ternary: four and one;
+    # a forward transform runs one rfft per row block, an inverse one irfft
+    # per thread
+    names = collections.Counter(name for name, *_ in layouts)
+    assert names == {"rfft": 6 * _row_blocks(h), "irfft": 2 * _parts(h)}
     for name, ndim, axis, rows_in, rows_out in layouts:
         assert (ndim, axis, rows_in, rows_out) == (2, 1, True, True), name
 
@@ -762,20 +809,203 @@ def test_real_passes_run_along_contiguous_rows(monkeypatch, h):
         (16385, (113, 145)),
         (1 << 15, (128, 256)),
         (1 << 20, (1024, 1024)),
+        (360600, (600, 601)),
     ],
 )
 def test_tiled_indicator_equals_the_one_call_write(h, shape):
-    # blocked grids are written INDICATOR_TILE columns at a time, the last
-    # tile short when N1 is not a multiple of it; a single-row grid at once
+    # a forward transform writes its indicator one row block at a time and
+    # runs each block's rfft into its rows of the spectrum, the last block
+    # short when N2 is not a multiple of the block's rows (601 = 5 * 109 +
+    # 56); a single-row grid is one block. Every spectrum equals the same
+    # transforms of the indicator written in one call
     assert _block_shape(h) == shape
-    assert shape[1] == 1 or shape[0] > INDICATOR_TILE
+    rows = {512: 1, 16385: 145, 1 << 15: 256, 1 << 20: 64, 360600: 109}[h]
+    assert _block_rows(*shape) == rows
+    assert rows * shape[0] <= ROW_BLOCK or rows == 1
     arr = np.random.default_rng(h).integers(0, 3, 2 * h, dtype=np.uint8)
     plan = _plan(h)
-    out = plan.real
-    for half in arr.reshape(*plan.shape, 2).T:
+    halves = arr.reshape(*plan.shape, 2).T
+    for half, spec, block in zip(halves, plan.spectra, plan.blocks):
+        assert block.shape == (rows, shape[0])
         for sym in range(3):
-            expected = np.equal(half, sym).astype(np.float64)
-            ind, count = _indicator(half, sym, out)
-            assert ind is out
-            assert np.array_equal(ind, expected)
+            expected = np.fft.rfft(np.equal(half, sym).astype(np.float64), axis=1)
+            if plan.twiddles:
+                _twiddle(expected, plan.twiddles)
+                expected = np.fft.fft(expected, axis=0)
+            total = np.ones_like(spec)
+            count = _spectrum(half, sym, spec, block, plan.twiddles, total)
+            assert np.array_equal(spec, expected)
+            assert np.array_equal(total, expected + 1)
             assert count == int(np.count_nonzero(half == sym))
+
+
+# --- two threads per call at and above THREAD_MIN ------------------------
+
+
+def test_block_rows_and_thread_threshold():
+    assert ROW_BLOCK == 2**16
+    assert THREAD_MIN == 2**18
+    assert _block_rows(1024, 1024) == 64  # 512 KB per half at n = 2^21
+    assert _block_rows(16411, 1) == 1
+    assert _block_rows(3, 87383) == 21845
+
+
+# threaded half-lengths: blocked, prime (one row, Bluestein) and 3 x prime
+THREADED = [(1 << 18, (512, 512)), (262147, (262147, 1)), (262149, (3, 87383))]
+
+
+@pytest.mark.parametrize("h, shape", THREADED)
+def test_two_threads_equal_one_at_threaded_sizes(monkeypatch, h, shape):
+    assert _block_shape(h) == shape and h >= THREAD_MIN
+    rng = random.Random(h)
+    words = list(_words_with_absent_codes(2 * h, rng))
+    with monkeypatch.context() as serial:
+        serial.setattr(distance, "_CPUS", 1)
+        expected = [distance_to_language(w) for w in words]
+    assert [distance_to_language(w) for w in words] == expected
+    assert expected == [_single_transform_distance(w) for w in words]
+
+
+def test_run_joins_its_helper_and_raises_what_it_met():
+    before = threading.active_count()
+    assert _run(lambda x: 2 * x, [(1,), (2,)], True) == [2, 4]
+    assert _run(lambda x: 2 * x, [(1,)], True) == [2]
+    for calls in ([(1,), (0,)], [(0,), (1,)], [(0,), (0,)]):
+        with pytest.raises(ZeroDivisionError):
+            _run(lambda x: 1 / x, calls, True)
+        assert threading.active_count() == before
+
+
+def test_no_helper_thread_outlives_a_call(monkeypatch):
+    # a threaded call starts its helpers and joins each before it returns
+    rng = random.Random(131)
+    words = [random_word(2 * THREAD_MIN, rng, alphabet_size=k) for k in (2, 3)]
+    started = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    before = threading.active_count()
+    for w in words:
+        distance_to_language(w)
+        assert threading.active_count() == before
+    assert (len(started) > 0) == (distance._CPUS > 1)
+    assert not any(thread.is_alive() for thread in started)
+
+
+def _run_script(code, timeout):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=timeout,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    return done.stdout.split()
+
+
+def test_workers_after_a_threaded_parent_call_finish():
+    # a forked worker inherits no helper thread and starts its own: a 2^19
+    # call in the parent, then a two-worker sweep at 2^19 whose far trials
+    # certify their words with threaded calls, equal to the serial sweep
+    code = (
+        "import random, threading\n"
+        "from dataclasses import replace\n"
+        "from twopal import distance_to_language, random_word\n"
+        "from twopal.experiment import ExperimentConfig, run_experiment\n"
+        "n = 1 << 19\n"
+        "before = threading.active_count()\n"
+        "distance_to_language(random_word(n, random.Random(137)))\n"
+        "print(threading.active_count() - before)\n"
+        "config = ExperimentConfig(sizes=(n,), epsilons=(0.1,), trials=2,\n"
+        "    seed=139, modes=('quantum',), member_fraction=0.0, workers=2)\n"
+        "def cells(report):\n"
+        "    return [replace(cell, seconds=0.0) for cell in report.cells]\n"
+        "pooled = cells(run_experiment(config))\n"
+        "print(pooled == cells(run_experiment(replace(config, workers=1))))\n"
+    )
+    assert _run_script(code, timeout=300) == ["0", "True"]
+
+
+def test_calls_below_the_threshold_start_no_thread():
+    # set-up and the n = 1024 desk sweep stay on the one-thread path
+    code = (
+        "import threading\n"
+        "started = []\n"
+        "start = threading.Thread.start\n"
+        "def counted(thread):\n"
+        "    started.append(thread)\n"
+        "    start(thread)\n"
+        "threading.Thread.start = counted\n"
+        "import random\n"
+        "import twopal, twopal.cli\n"
+        "from twopal import distance_to_language, random_word\n"
+        "from twopal.experiment import ExperimentConfig, run_experiment\n"
+        "for n in (1024, 1 << 15, 1 << 18):\n"
+        "    for k in (2, 3):\n"
+        "        distance_to_language(random_word(n, random.Random(n), k))\n"
+        "run_experiment(ExperimentConfig(sizes=(1024,), epsilons=(0.1,),\n"
+        "    trials=200, seed=41, modes=('quantum', 'classical', 'exact')))\n"
+        "print(len(started), threading.active_count())\n"
+    )
+    assert _run_script(code, timeout=120) == ["0", "1"]
+
+
+def test_concurrent_callers_match_a_serial_run(monkeypatch):
+    # three callers at once, each with its own workspace and helpers, more
+    # threads than cores and a short switch interval; alphabets 2, 3 and
+    # 256 cover the binary and the multi-symbol path
+    rng = random.Random(149)
+    codes = np.array([7, 8, 200, 255], dtype=np.uint8)
+    spread = codes[np.random.default_rng(151).integers(0, 4, 1 << 19)]
+    words = [
+        random_word(1 << 21, rng),
+        random_word(1 << 19, rng, alphabet_size=3),
+        Word(spread.tobytes(), 256),
+    ]
+    with monkeypatch.context() as serial:
+        serial.setattr(distance, "_CPUS", 1)
+        expected = [distance_to_language(w) for w in words]
+    start = threading.Barrier(len(words))
+    got = [[] for _ in words]
+
+    def work(slot):
+        start.wait(timeout=60)
+        for _ in range(2):
+            got[slot].append(distance_to_language(words[slot]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [[result, result] for result in expected]
+
+
+def test_repeat_2_21_binary_call_traces_under_2_mb_above_its_buffers():
+    # no forward transform overlaps its output, so numpy copies no half's
+    # indicator (8 MB at 2^21); the kept buffers and row blocks serve the
+    # repeat call, on this thread and its helpers
+    n = 1 << 21
+    w = random_word(n, random.Random(157))
+    expected = distance_to_language(w)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = distance_to_language(w)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert result == expected
+    assert peak < 2 << 20
